@@ -52,23 +52,32 @@ def _emit_report(report, fmt: str, out) -> None:
     out.write(report.to_json() if fmt == "json" else report.to_csv())
 
 
+class UsageError(ValueError):
+    """A command-line value that does not parse."""
+
+
+def _ints(tokens: list[str], text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise UsageError(f"expected integers, got {text!r}") from None
+
+
 def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
+    return _ints(text.replace(",", " ").split(), text)
 
 
 def _parse_range(text: str) -> list[int]:
     """Accept '8-16' or a comma/space separated list."""
     if "-" in text and "," not in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = _ints(text.split("-", 1), text)
+        return list(range(lo, hi + 1))
     return _parse_ints(text)
 
 
 def cmd_sharpness(args) -> int:
     ks = _parse_range(args.k) if args.k else None
-    report = experiments.sharpness_sweep(
-        _parse_range(args.n), ks, threads=args.threads, timing=args.timing
-    )
+    report = experiments.sharpness_sweep(_parse_range(args.n), ks, timing=args.timing)
     _emit_report(report, args.format, sys.stdout)
     return EXIT_OK if report.aggregates["violations"] == 0 else EXIT_VIOLATION
 
@@ -79,8 +88,7 @@ def cmd_scan(args) -> int:
         args.k,
         args.trials,
         seed=args.seed,
-        offsets=tuple(int(x) for x in args.offsets.split(",")),
-        threads=args.threads,
+        offsets=tuple(_ints(args.offsets.split(","), args.offsets)),
         timing=args.timing,
     )
     _emit_report(report, args.format, sys.stdout)
@@ -90,7 +98,7 @@ def cmd_scan(args) -> int:
 def cmd_ordered(args) -> int:
     g = _read_graph(args.graph)
     try:
-        ordered, witness = is_k_ordered(g, args.k, max_cycles=args.exact_cap)
+        ordered, witness = is_k_ordered(g, args.k)
     except NotHamiltonianError:
         print(json.dumps({"k": args.k, "ordered": False, "hamiltonian": False}))
         return EXIT_VIOLATION
@@ -124,7 +132,6 @@ def cmd_extremal(args) -> int:
             args.k,
             seed=args.seed,
             trials=args.trials,
-            threads=args.threads,
             timing=args.timing,
         )
     except (ConstructionError, HypothesisViolation) as exc:
@@ -241,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=True):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--timing", action="store_true",
                        help="include wall-time columns (breaks byte-for-byte determinism)")
         if seed:
@@ -264,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ordered", help="decide k-orderedness of a graph")
     p.add_argument("graph", help="graph6/edge-list file path, or - for stdin")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--exact-cap", type=int, default=250_000,
-                   help="cycle-enumeration cap before per-sequence DP fallback")
     p.set_defaults(func=cmd_ordered)
 
     p = sub.add_parser("scycle", help="find a Hamiltonian cycle meeting a sequence in order")
@@ -314,7 +318,7 @@ def main(argv=None) -> int:
     except (ConstructionError,) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (Graph6Error, GraphError) as exc:
+    except (Graph6Error, GraphError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -13,7 +13,6 @@ import io
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .generators import (
     random_graph_min_degree,
     sharpness_min_degree,
 )
-from .hamilton import NotHamiltonianError, find_s_cycle, is_k_ordered
+from .hamilton import EXACT_SOLVER_LIMIT, NotHamiltonianError, find_s_cycle, is_k_ordered
 
 
 @dataclass
@@ -71,14 +70,6 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _pool_map(fn, items, threads: int):
-    """Map preserving input order; a worker pool is used when threads > 1."""
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def ore_condition(g: Graph, k: int) -> bool:
     """Degree-sum test: deg(u) + deg(v) >= n + 2k - 6 for every nonadjacent
     pair; vacuously true on complete graphs.  Defined for k >= 3."""
@@ -93,12 +84,7 @@ def ore_condition(g: Graph, k: int) -> bool:
     return True
 
 
-EXACT_SOLVER_LIMIT = 24  # subset-DP masks stop fitting in memory past this
-
-
-def matching_bound_report(
-    n_values, trials: int, seed: int = 0, *, threads: int = 1
-) -> ExperimentReport:
+def matching_bound_report(n_values, trials: int, seed: int = 0) -> ExperimentReport:
     """(nu, bound) rows for the two matching lower bounds on random graphs."""
     n_values = list(n_values)
     report = ExperimentReport(
@@ -120,7 +106,7 @@ def matching_bound_report(
             "holds": ep.holds and dr.holds,
         }
 
-    report.rows = _pool_map(run, jobs, threads)
+    report.rows = [run(job) for job in jobs]
     report.aggregates["violations"] = sum(1 for r in report.rows if not r["holds"])
     return report.finalize()
 
@@ -129,7 +115,6 @@ def sharpness_sweep(
     n_values,
     k_values=None,
     *,
-    threads: int = 1,
     timing: bool = False,
 ) -> ExperimentReport:
     """For each (n, k), rebuild the tight construction, check its minimum
@@ -171,7 +156,7 @@ def sharpness_sweep(
             row["wall_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         return row
 
-    report.rows = _pool_map(run, jobs, threads)
+    report.rows = [run(job) for job in jobs]
     report.aggregates["violations"] = sum(1 for r in report.rows if not r["ok"])
     return report.finalize()
 
@@ -188,7 +173,6 @@ def threshold_scan(
     seed: int = 0,
     *,
     offsets=(-1, 0),
-    threads: int = 1,
     timing: bool = False,
 ) -> ExperimentReport:
     """Sample random graphs at minimum degrees around the k-ordered
@@ -238,7 +222,7 @@ def threshold_scan(
             row["wall_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         return row
 
-    report.rows = _pool_map(run, jobs, threads)
+    report.rows = [run(job) for job in jobs]
     fractions = []
     for off in sorted(offsets):
         rows = [r for r in report.rows if r["offset"] == off]
@@ -264,7 +248,6 @@ def extremal_demo(
     trials: int = 1,
     *,
     params: ExtremalParams | None = None,
-    threads: int = 1,
     timing: bool = False,
 ) -> ExperimentReport:
     """Generate extremal instances, draw a random valid sequence, run the
@@ -311,6 +294,6 @@ def extremal_demo(
             row["wall_ms"] = round(1000 * (time.perf_counter() - t0), 3)
         return row
 
-    report.rows = _pool_map(run, list(range(trials)), threads)
+    report.rows = [run(t) for t in range(trials)]
     report.aggregates["certified"] = sum(1 for r in report.rows if r["certified"])
     return report.finalize()

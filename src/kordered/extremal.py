@@ -260,20 +260,6 @@ class PathSystem:
 
     paths: tuple[tuple[int, ...], ...]
 
-    @property
-    def used_mask(self) -> int:
-        m = 0
-        for p in self.paths:
-            m |= mask_of(p)
-        return m
-
-    @property
-    def interior_mask(self) -> int:
-        m = 0
-        for p in self.paths:
-            m |= mask_of(p[1:-1])
-        return m
-
     def validate(self, g: Graph) -> None:
         seen_interior = 0
         endpoints = 0

@@ -7,6 +7,13 @@ arbitrary vertices interleaved).  The solver is a subset DP over states
 once v2,...,v_{j-1} are already in the mask, so a "none" answer is
 exhaustive.  The DP is bit-parallel over the last-vertex set, which keeps
 the per-mask work O(n).
+
+This one DP is the only exact engine.  ``is_k_ordered`` runs it on the
+canonical sequences that no earlier cycle has realised, and
+``find_hamiltonian_path`` runs it anchored at one endpoint alone.  The
+2^n table caps the exact answers at ``EXACT_SOLVER_LIMIT`` vertices.
+``enumerate_hamiltonian_cycles`` lists every Hamiltonian cycle and serves
+as a reference; no decision procedure here depends on it.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
 from .core import Graph, GraphError, bit_list
+
+
+EXACT_SOLVER_LIMIT = 24  # subset-DP masks stop fitting in memory past this
 
 
 class NotHamiltonianError(ValueError):
@@ -243,75 +253,44 @@ def _canonical_orderings(subset: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-def is_k_ordered(
-    g: Graph, k: int, *, max_cycles: int = 250_000
-) -> tuple[bool, tuple[int, ...] | None]:
+def is_k_ordered(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether every k-sequence of distinct vertices has a
     Hamiltonian S-cycle; on failure return a witness sequence.
 
     Sequences are only examined up to the dihedral action (rotations and
-    reversal preserve S-cycle existence), a 2k-fold saving.  The engine
-    enumerates Hamiltonian cycles, marking the encounter order each cycle
-    realises on every k-subset; full coverage proves the positive answer
-    early, and exhausted enumeration makes missing orders genuine
-    witnesses.  If the cycle count exceeds ``max_cycles`` the remaining
-    sequences are settled one by one with the exact DP.  The witness is
-    the lexicographically least failing canonical sequence.
+    reversal preserve S-cycle existence), a 2k-fold saving.  The canonical
+    sequences are walked in lexicographic order and each one not yet
+    struck gets the exact DP of ``find_s_cycle``.  A cycle it returns
+    strikes the canonical order it realises on every k-subset, so one DP
+    settles many sequences; a "none" ends the walk, and that sequence is
+    the lexicographically least failing canonical sequence, the witness.
 
     Raises NotHamiltonianError when g has no Hamiltonian cycle at all.
     """
     if not 2 <= k <= g.n:
         raise GraphError(f"k={k} outside 2..n")
-    if g.n < 3 or not is_hamiltonian(g):
+    cycle = hamiltonian_cycle(g)
+    if cycle is None:
         raise NotHamiltonianError("graph has no Hamiltonian cycle")
     if k <= 3:
         # every Hamiltonian graph is 2- and 3-ordered
         return True, None
 
-    n = g.n
-    subsets = list(combinations(range(n), k))
-    remaining: dict[tuple[int, ...], set[tuple[int, ...]]] = {
-        t: set(_canonical_orderings(t)) for t in subsets
-    }
-    outstanding = sum(len(v) for v in remaining.values())
-    active = list(subsets)
-    pos = [0] * n
-    seen_cycles = 0
-    capped = False
-    for cyc in enumerate_hamiltonian_cycles(g):
-        seen_cycles += 1
-        if seen_cycles > max_cycles:
-            capped = True
-            break
-        for i, v in enumerate(cyc):
-            pos[v] = i
-        next_active = []
-        for t in active:
-            want = remaining[t]
-            if not want:
-                continue
-            induced = sorted(t, key=pos.__getitem__)
-            j = induced.index(t[0])
-            fwd = tuple(induced[j:] + induced[:j])
-            rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-            realised = min(fwd, rev)
-            if realised in want:
-                want.discard(realised)
-                outstanding -= 1
-            if want:
-                next_active.append(t)
-        active = next_active
-        if outstanding == 0:
-            return True, None
+    subsets = list(combinations(range(g.n), k))
+    struck: set[tuple[int, ...]] = set()
 
-    if not capped:
-        witness = min(min(v) for v in remaining.values() if v)
-        return False, witness
+    def strike(cycle: HamCycle) -> None:
+        pos = {v: i for i, v in enumerate(cycle.order)}
+        struck.update(canonical_sequence(sorted(t, key=pos.__getitem__)) for t in subsets)
 
-    for t in subsets:
-        for cand in sorted(remaining[t]):
-            if find_s_cycle(g, cand) is None:
-                return False, cand
+    strike(cycle)
+    for s in sorted(o for t in subsets for o in _canonical_orderings(t)):
+        if s in struck:
+            continue
+        cycle = find_s_cycle(g, s)
+        if cycle is None:
+            return False, s
+        strike(cycle)
     return True, None
 
 
@@ -351,26 +330,6 @@ def bipartite_posa_condition(g: Graph, a, b) -> bool:
 
 
 # -- Hamiltonian path between fixed endpoints --------------------------
-
-
-def _path_dp(adj: Sequence[int], n: int, x: int, y: int) -> HamPath | None:
-    full = (1 << n) - 1
-    start_bit = 1 << x
-    dp = [0] * (full + 1)
-    dp[start_bit] = start_bit
-    for mask in range(start_bit, full + 1):
-        lasts = dp[mask]
-        if not lasts:
-            continue
-        cand = ~mask & full
-        while cand:
-            nb = cand & -cand
-            cand ^= nb
-            if lasts & adj[nb.bit_length() - 1]:
-                dp[mask | nb] |= nb
-    if not dp[full] & (1 << y):
-        return None
-    return HamPath(tuple(_walk_back(adj, dp, x, y, full)))
 
 
 def _rotation_attempt(
@@ -422,15 +381,14 @@ def find_hamiltonian_path(
     y: int,
     *,
     restarts: int = 50,
-    exact_threshold: int = 24,
     seed: int = 0,
 ) -> PathSearchResult:
     """Hamiltonian path from x to y.
 
     Stage one is rotation-extension with ``restarts`` seeded random
-    starts; stage two, for n <= exact_threshold, is the exhaustive subset
-    DP, making a "none" answer authoritative.  Beyond the threshold a
-    miss is inconclusive and flagged as such.
+    starts; stage two, for n <= EXACT_SOLVER_LIMIT, is the exhaustive
+    subset DP anchored at x, making a "none" answer authoritative.
+    Beyond the limit a miss is inconclusive and flagged as such.
     """
     if x == y:
         raise GraphError("endpoints must differ")
@@ -454,9 +412,10 @@ def find_hamiltonian_path(
                 path = HamPath(tuple(got) + (y,))
                 assert _is_valid_path(g, path, x, y)
                 return PathSearchResult(path, "rotation", True)
-    if n <= exact_threshold:
-        path = _path_dp(g.adj, n, x, y)
-        if path is not None:
+    if n <= EXACT_SOLVER_LIMIT:
+        dp = _anchored_dp(g.adj, n, (x,))
+        if dp[full] >> y & 1:
+            path = HamPath(tuple(_walk_back(g.adj, dp, x, y, full)))
             return PathSearchResult(path, "exact", True)
         return PathSearchResult(None, "none", True)
     return PathSearchResult(None, "none", False)

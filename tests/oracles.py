@@ -3,17 +3,18 @@
 These deliberately use different algorithm families from the package:
 matching number by exhaustive branching over the lowest uncovered vertex,
 Hamiltonian cycles by recursive neighbor-set backtracking, S-cycle
-existence by scanning every enumerated cycle, regularity by full
-quantifier enumeration.  Slow on purpose; only run at desk scale.
+existence by scanning every enumerated cycle, k-orderedness by marking
+the order every enumerated cycle realises, regularity by full quantifier
+enumeration.  Slow on purpose; only run at desk scale.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
-from kordered import Graph
+from kordered import Graph, enumerate_hamiltonian_cycles
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -80,6 +81,50 @@ def cycle_meets_order(order: tuple[int, ...], seq) -> bool:
 
 def s_cycle_exists_naive(g: Graph, seq) -> bool:
     return any(cycle_meets_order(c, seq) for c in naive_hamiltonian_cycles(g))
+
+
+def is_k_ordered_by_enumeration(g: Graph, k: int):
+    """k-orderedness by enumerating every Hamiltonian cycle.
+
+    Each cycle marks the canonical order it realises on every k-subset
+    (rotated to start at the subset's least vertex, then the smaller of
+    the two directions).  Returns (True, None), (False, least unmarked
+    canonical sequence), or None when g has no Hamiltonian cycle.
+    Assumes k >= 4.
+    """
+    n = g.n
+    remaining = {
+        t: {(t[0],) + p for p in permutations(t[1:]) if p[0] < p[-1]}
+        for t in combinations(range(n), k)
+    }
+    pos = [0] * n
+    hamiltonian = False
+    for cyc in enumerate_hamiltonian_cycles(g):
+        hamiltonian = True
+        for i, v in enumerate(cyc):
+            pos[v] = i
+        for t, want in remaining.items():
+            induced = sorted(t, key=pos.__getitem__)
+            j = induced.index(t[0])
+            fwd = tuple(induced[j:] + induced[:j])
+            rev = (fwd[0],) + tuple(reversed(fwd[1:]))
+            want.discard(min(fwd, rev))
+    if not hamiltonian:
+        return None
+    missing = [min(v) for v in remaining.values() if v]
+    return (False, min(missing)) if missing else (True, None)
+
+
+def first_failing_sequence_naive(g: Graph, k: int):
+    """The lexicographically least canonical k-sequence with no S-cycle,
+    or None.  Canonical: least vertex first, second entry below the last.
+    This is ``s_cycle_exists_naive`` with the cycle list built once."""
+    cycles = naive_hamiltonian_cycles(g)
+    for seq in permutations(range(g.n), k):
+        if seq[0] == min(seq) and seq[1] < seq[-1]:
+            if not any(cycle_meets_order(c, seq) for c in cycles):
+                return seq
+    return None
 
 
 def ham_path_exists_naive(g: Graph, x: int, y: int) -> bool:

@@ -109,10 +109,11 @@ def test_extremal_demo_batches_certify():
     assert all(r["retries"] == 0 for r in rep.rows)
 
 
-def test_parallel_map_preserves_order():
-    a = sharpness_sweep([8, 9, 10], threads=1)
-    b = sharpness_sweep([8, 9, 10], threads=4)
-    assert a.to_json() == b.to_json()
+def test_sweep_rows_follow_n_then_k():
+    rep = sharpness_sweep([10, 8, 9])
+    assert [(r["n"], r["k"]) for r in rep.rows] == [
+        (n, k) for n in (10, 8, 9) for k in range(2, n // 2 + 1)
+    ]
 
 
 def test_matching_bound_rows_serialize():
@@ -189,6 +190,19 @@ def test_cli_sharpness_and_determinism(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["aggregates"]["violations"] == 0
+
+
+def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
+    p = tmp_path / "c6.g6"
+    p.write_text(encode_graph6(Graph.cycle(6)) + "\n")
+    for argv in (
+        ["scan", "--n", "8", "--k", "4", "--offsets=x"],
+        ["sharpness", "--n", "8-x"],
+        ["scycle", str(p), "--seq", "0,a"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_cli_scan_csv(capsys):

@@ -21,7 +21,9 @@ from kordered import (
     verify_s_cycle,
 )
 from oracles import (
+    first_failing_sequence_naive,
     ham_path_exists_naive,
+    is_k_ordered_by_enumeration,
     naive_hamiltonian_cycles,
     random_graph,
     s_cycle_exists_naive,
@@ -197,12 +199,33 @@ def test_matches_sequence_by_sequence_decision():
             assert find_s_cycle(g, witness) is None
 
 
-def test_dp_fallback_when_cycle_budget_tiny():
+def test_cover_settles_sharpness_and_complete_graphs():
     sg = build_sharpness_graph(10, 4)
-    ok, witness = is_k_ordered(sg.graph, 4, max_cycles=5)
+    ok, witness = is_k_ordered(sg.graph, 4)
     assert not ok
     assert find_s_cycle(sg.graph, witness) is None
-    assert is_k_ordered(Graph.complete(7), 4, max_cycles=5) == (True, None)
+    assert is_k_ordered(Graph.complete(7), 4) == (True, None)
+
+
+def test_witness_matches_enumeration_and_naive_oracles():
+    # the witness is the lexicographically least failing canonical
+    # sequence over all k-subsets, not the first one in subset order
+    rng = random.Random(32)
+    outcomes = set()
+    for _ in range(30):
+        n = rng.randint(6, 10)
+        k = rng.choice((4, 5))
+        g = random_graph(rng, n, rng.uniform(0.45, 0.8))
+        expected = is_k_ordered_by_enumeration(g, k)
+        if expected is None:
+            with pytest.raises(NotHamiltonianError):
+                is_k_ordered(g, k)
+            outcomes.add("not hamiltonian")
+            continue
+        assert is_k_ordered(g, k) == expected, (g.adj, k)
+        assert expected[1] == first_failing_sequence_naive(g, k)
+        outcomes.add(expected[0])
+    assert outcomes == {True, False, "not hamiltonian"}
 
 
 def test_monotonicity_on_small_graphs():
@@ -312,7 +335,7 @@ def test_same_endpoint_raises():
 
 def test_inconclusive_flag_above_threshold():
     g = Graph.path(30)  # rotation cannot find 1 -> 2 and n > threshold
-    res = find_hamiltonian_path(g, 1, 2, restarts=3, exact_threshold=10)
+    res = find_hamiltonian_path(g, 1, 2, restarts=3)
     assert res.path is None and not res.authoritative
 
 
