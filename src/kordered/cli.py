@@ -2,8 +2,9 @@
 
 Subcommands: sharpness, scan, ordered, scycle, extremal, regular, gen.
 Graphs travel as graph6 (stdin/stdout or file paths); reports are CSV or
-JSON.  Exit codes: 0 success, 2 property violation, 3 infeasible
-parameters.
+JSON.  Exit codes: 0 success, 2 property violation, solver failure or
+malformed input (a one-line message, no traceback), 3 infeasible
+parameters.  ``main`` is the one place that maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -125,21 +126,14 @@ def cmd_scycle(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    try:
-        report = experiments.extremal_demo(
-            args.kind,
-            args.n,
-            args.k,
-            seed=args.seed,
-            trials=args.trials,
-            timing=args.timing,
-        )
-    except (ConstructionError, HypothesisViolation) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except StageError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    report = experiments.extremal_demo(
+        args.kind,
+        args.n,
+        args.k,
+        seed=args.seed,
+        trials=args.trials,
+        timing=args.timing,
+    )
     _emit_report(report, args.format, sys.stdout)
     certified = report.aggregates["certified"]
     return EXIT_OK if certified == len(report.rows) else EXIT_VIOLATION
@@ -176,53 +170,49 @@ def cmd_regular(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "sharpness":
-            sg = build_sharpness_graph(args.n, args.k)
-            g = sg.graph
-            sidecar = {
-                "kind": "sharpness",
-                "n": args.n,
-                "k": args.k,
-                "delta": sg.min_degree,
-                "witness": list(sg.witness),
-                "u_side": list(sg.u_side),
-                "w_side": list(sg.w_side),
-            }
-        elif args.kind == "sparse":
-            inst = build_sparse_cut_instance(args.n, args.k, args.cut_degree, seed=args.seed)
-            g = inst.graph
-            sidecar = dict(inst.params)
-            sidecar.update(
-                delta=inst.min_degree,
-                cross_density=str(inst.cross_density),
-                side_a=list(inst.side_a),
-                side_b=list(inst.side_b),
-            )
-        elif args.kind == "dense":
-            inst = build_dense_bipartite_instance(
-                args.n, args.k, imbalance=args.imbalance, seed=args.seed
-            )
-            g = inst.graph
-            sidecar = dict(inst.params)
-            sidecar.update(
-                delta=inst.min_degree,
-                cross_density=str(inst.cross_density),
-                side_a=list(inst.side_a),
-                side_b=list(inst.side_b),
-            )
-        else:
-            g = random_graph_min_degree(args.n, args.delta, seed=args.seed)
-            sidecar = {
-                "kind": "random",
-                "n": args.n,
-                "target_delta": args.delta,
-                "seed": args.seed,
-                "delta": degree_profile(g).min_degree,
-            }
-    except ConstructionError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    if args.kind == "sharpness":
+        sg = build_sharpness_graph(args.n, args.k)
+        g = sg.graph
+        sidecar = {
+            "kind": "sharpness",
+            "n": args.n,
+            "k": args.k,
+            "delta": sg.min_degree,
+            "witness": list(sg.witness),
+            "u_side": list(sg.u_side),
+            "w_side": list(sg.w_side),
+        }
+    elif args.kind == "sparse":
+        inst = build_sparse_cut_instance(args.n, args.k, args.cut_degree, seed=args.seed)
+        g = inst.graph
+        sidecar = dict(inst.params)
+        sidecar.update(
+            delta=inst.min_degree,
+            cross_density=str(inst.cross_density),
+            side_a=list(inst.side_a),
+            side_b=list(inst.side_b),
+        )
+    elif args.kind == "dense":
+        inst = build_dense_bipartite_instance(
+            args.n, args.k, imbalance=args.imbalance, seed=args.seed
+        )
+        g = inst.graph
+        sidecar = dict(inst.params)
+        sidecar.update(
+            delta=inst.min_degree,
+            cross_density=str(inst.cross_density),
+            side_a=list(inst.side_a),
+            side_b=list(inst.side_b),
+        )
+    else:
+        g = random_graph_min_degree(args.n, args.delta, seed=args.seed)
+        sidecar = {
+            "kind": "random",
+            "n": args.n,
+            "target_delta": args.delta,
+            "seed": args.seed,
+            "delta": degree_profile(g).min_degree,
+        }
     line = encode_graph6(g)
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="ascii") as fh:
@@ -315,10 +305,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConstructionError,) as exc:
+    except (ConstructionError, HypothesisViolation) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (Graph6Error, GraphError, UsageError) as exc:
+    except StageError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except (Graph6Error, GraphError, UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -14,7 +14,6 @@ asymptotic hypotheses only affect whether a run succeeds.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -376,13 +375,13 @@ class ExtremalSolution:
     trace: dict = field(default_factory=dict)
 
 
-def _route_or_fail(g, side_mask, u, w, blocked, stage, max_len=4):
+def _route_or_fail(g, side_mask, u, w, blocked):
     def adj_of(v: int) -> int:
         return g.adj[v] & side_mask
 
-    path = _bfs_route(adj_of, u, w, side_mask & ~blocked, max_len)
+    path = _bfs_route(adj_of, u, w, side_mask & ~blocked, 4)
     if path is None:
-        raise StageError(stage, f"cannot route {u}->{w} inside one side",
+        raise StageError("assembly", f"cannot route {u}->{w} inside one side",
                          {"side_size": side_mask.bit_count()})
     return path
 
@@ -411,6 +410,44 @@ def _check_common_hypotheses(g, am, bm, s, alpha: Fraction, stage: str, dense: b
             raise HypothesisViolation(stage, f"cross density {dens} not below alpha")
 
 
+def _prepare(g: Graph, a, b, seq, params: ExtremalParams | None, kind: str):
+    """Shared head of both solvers: check the hypotheses, clean up the
+    clusters and start the trace."""
+    p = params or ExtremalParams()
+    s = _check_sequence(g, seq)
+    am, bm = g._mask(a), g._mask(b)
+    dense = kind == "dense"
+    _check_common_hypotheses(g, am, bm, s, p.alpha, f"{kind}-hypotheses", dense)
+    cp = (cleanup_dense if dense else cleanup_sparse)(g, am, bm, p)
+    cleanup = {
+        "exceptional": len(cp.exc_a) + len(cp.exc_b),
+        "leftovers": len(cp.leftovers),
+        "low_degree": cp.low_degree_count,
+    }
+    trace: dict = {"kind": kind, "n": g.n, "k": len(s), "cleanup": cleanup}
+    return p, s, cp, trace
+
+
+def _certified(g: Graph, s, cyc: list[int], trace: dict) -> ExtremalSolution:
+    """Shared tail of both solvers: certificate-check the assembled cycle."""
+    cycle = HamCycle(tuple(cyc))
+    check = verify_s_cycle(g, s, cycle)
+    trace["certified"] = bool(check)
+    if not check:
+        raise StageError("certify", f"assembled cycle failed verification: {check.reason}",
+                         {"cycle_len": len(cyc)})
+    return ExtremalSolution(cycle, trace)
+
+
+def _path_through(g: Graph, mask: int, x: int, y: int, seed: int) -> list[int] | None:
+    """Hamiltonian x-y path of the subgraph induced by mask, in the labels
+    of g, or None when the search misses."""
+    sub, idx_map = induced_subgraph(g, mask)
+    back = {orig: j for j, orig in enumerate(idx_map)}
+    res = find_hamiltonian_path(sub, back[x], back[y], seed=seed)
+    return None if res.path is None else [idx_map[v] for v in res.path.order]
+
+
 def solve_extremal_sparse(
     g: Graph, a, b, seq, params: ExtremalParams | None = None, *, seed: int = 0
 ) -> ExtremalSolution:
@@ -423,22 +460,10 @@ def solve_extremal_sparse(
     a completely untouched side via two cross edges.  The result is
     certificate-checked before it is returned.
     """
-    p = params or ExtremalParams()
-    s = _check_sequence(g, seq)
-    am0, bm0 = g._mask(a), g._mask(b)
-    _check_common_hypotheses(g, am0, bm0, s, p.alpha, "sparse-hypotheses", dense=False)
-
-    trace: dict = {"kind": "sparse", "n": g.n, "k": len(s)}
-    t0 = time.perf_counter()
-    cp = cleanup_sparse(g, am0, bm0, p)
+    p, s, cp, trace = _prepare(g, a, b, seq, params, "sparse")
     amask = mask_of(cp.side_a)
     bmask = mask_of(cp.side_b)
     low_mask = mask_of(cp.low_degree)
-    trace["cleanup"] = {
-        "exceptional": len(cp.exc_a) + len(cp.exc_b),
-        "leftovers": len(cp.leftovers),
-        "low_degree": cp.low_degree_count,
-    }
 
     s_mask = mask_of(s)
     side_of = {v: 0 if amask & (1 << v) else 1 for v in s}
@@ -467,6 +492,7 @@ def solve_extremal_sparse(
     # matched to sequence vertices plus a free reserve of one edge per side
     # switch.  Blocking every matching endpoint from path interiors would
     # starve the interior pool (the matching covers about half of each side).
+    # partner maps both ends of every unspent reserved bridge to each other.
     s_incident = [
         e for e in bridges.edges if s_mask & ((1 << e[0]) | (1 << e[1]))
     ]
@@ -474,28 +500,11 @@ def solve_extremal_sparse(
         e for e in bridges.edges if not (s_mask & ((1 << e[0]) | (1 << e[1])))
     )[: max(transitions, 1)]
     partner: dict[int, int] = {}
-    avail: set[tuple[int, int]] = set()
     for u, v in s_incident + free_edges:
         partner[u] = v
         partner[v] = u
-        avail.add((u, v))
-    reserved = 0
-    for u, v in avail:
-        reserved |= (1 << u) | (1 << v)
-    trace["reserved_bridges"] = len(avail)
-
-    def consume(u: int, v: int) -> None:
-        e = (u, v) if u < v else (v, u)
-        avail.discard(e)
-        if e in free_edges:
-            free_edges.remove(e)
-
-    def edge_avail(u: int) -> int | None:
-        w = partner.get(u)
-        if w is None:
-            return None
-        e = (u, w) if u < w else (w, u)
-        return w if e in avail else None
+    reserved = mask_of(partner)
+    trace["reserved_bridges"] = len(partner) // 2
 
     cyc = [s[0]]
     used = 1 << s[0]
@@ -509,39 +518,36 @@ def solve_extremal_sparse(
         closing = idx == k - 1
         xm = amask if side_of[vi] == 0 else bmask
         ym = amask if side_of[vn] == 0 else bmask
+        blocked = used | interior_block
         if xm == ym:
-            seg = _route_or_fail(g, xm, vi, vn, used | interior_block, "assembly")
+            seg = _route_or_fail(g, xm, vi, vn, blocked)
         else:
-            w = edge_avail(vi)
+            w = partner.get(vi)
+            w2 = partner.get(vn)
             if w is not None and not used & (1 << w):
-                consume(vi, w)
-                tail = _route_or_fail(g, ym, w, vn, used | interior_block, "assembly")
-                seg = [vi] + tail
+                del partner[vi], partner[w]
+                seg = [vi] + _route_or_fail(g, ym, w, vn, blocked)
+            elif w2 is not None and not used & (1 << w2):
+                del partner[vn], partner[w2]
+                seg = _route_or_fail(g, xm, vi, w2, blocked) + [vn]
             else:
-                w2 = edge_avail(vn)
-                if w2 is not None and not used & (1 << w2):
-                    consume(vn, w2)
-                    head = _route_or_fail(g, xm, vi, w2, used | interior_block, "assembly")
-                    seg = head + [vn]
-                else:
-                    pick = None
-                    for e in free_edges:
-                        u0 = e[0] if xm & (1 << e[0]) else e[1]
-                        w0 = e[1] if u0 == e[0] else e[0]
-                        if not used & ((1 << u0) | (1 << w0)):
-                            pick = (u0, w0)
-                            break
-                    if pick is None:
-                        raise StageError(
-                            "assembly",
-                            "no free bridge for a side switch",
-                            {"built": len(cyc), "remaining": k - idx},
-                        )
-                    u0, w0 = pick
-                    consume(u0, w0)
-                    head = _route_or_fail(g, xm, vi, u0, used | interior_block, "assembly")
-                    tail = _route_or_fail(g, ym, w0, vn, used | interior_block, "assembly")
-                    seg = head + tail
+                pick = None
+                for e in free_edges:
+                    u0 = e[0] if xm & (1 << e[0]) else e[1]
+                    w0 = e[1] if u0 == e[0] else e[0]
+                    if not used & ((1 << u0) | (1 << w0)):
+                        pick = (u0, w0)
+                        break
+                if pick is None:
+                    raise StageError(
+                        "assembly",
+                        "no free bridge for a side switch",
+                        {"built": len(cyc), "remaining": k - idx},
+                    )
+                u0, w0 = pick
+                del partner[u0], partner[w0]
+                head = _route_or_fail(g, xm, vi, u0, blocked)
+                seg = head + _route_or_fail(g, ym, w0, vn, blocked)
         path_lengths.append(len(seg) - 1)
         add = seg[1:-1] if closing else seg[1:]
         for v in add:
@@ -572,31 +578,24 @@ def solve_extremal_sparse(
                 "no same-side consecutive pair to anchor the patch",
                 {"side_size": side_mask.bit_count(), "missing": missing.bit_count()},
             )
-        done = False
-        for attempt, i in enumerate(anchors):
-            if attempt >= 10:
+        for attempt, i in enumerate(anchors[:10]):
+            x, y = cyc[i], cyc[(i + 1) % len(cyc)]
+            t_mask = missing | (1 << x) | (1 << y)
+            patch = _path_through(g, t_mask, x, y, seed + attempt)
+            if patch is not None:
                 break
-            pq = (cyc[i], cyc[(i + 1) % len(cyc)])
-            t_mask = missing | (1 << pq[0]) | (1 << pq[1])
-            sub, idx_map = induced_subgraph(g, t_mask)
-            back = {orig: j for j, orig in enumerate(idx_map)}
-            res = find_hamiltonian_path(sub, back[pq[0]], back[pq[1]], seed=seed + attempt)
-            if res.path is None:
-                retries += 1
-                continue
-            interior = [idx_map[v] for v in res.path.order[1:-1]]
-            cyc[i + 1:i + 1] = interior
-            for v in interior:
-                used |= 1 << v
-            absorbed.append(side_mask.bit_count())
-            done = True
-            break
-        if not done:
+            retries += 1
+        else:
+            sub = induced_subgraph(g, t_mask)[0]
             raise StageError(
                 "absorption",
                 "patch path not found",
-                {"missing": missing.bit_count(), "posa": posa_condition(sub) if sub.n >= 3 else None},
+                {"missing": missing.bit_count(), "posa": posa_condition(sub)},
             )
+        interior = patch[1:-1]
+        cyc[i + 1:i + 1] = interior
+        used |= mask_of(interior)
+        absorbed.append(side_mask.bit_count())
 
     leftover = g.vertex_mask & ~used
     if leftover:
@@ -606,50 +605,26 @@ def solve_extremal_sparse(
                 "leftover vertices are not a full untouched side",
                 {"leftover": leftover.bit_count()},
             )
-        xm = leftover
-        done = False
-        for attempt, i in enumerate(range(len(cyc))):
-            if attempt >= 10:
-                break
-            x1, x2 = cyc[i], cyc[(i + 1) % len(cyc)]
-            n1 = g.adj[x1] & xm
+        for i in range(min(10, len(cyc))):
+            n1 = g.adj[cyc[i]] & leftover
             if not n1:
                 continue
             y1 = (n1 & -n1).bit_length() - 1
-            n2 = g.adj[x2] & xm & ~(1 << y1)
+            n2 = g.adj[cyc[(i + 1) % len(cyc)]] & leftover & ~(1 << y1)
             if not n2:
                 continue
             y2 = (n2 & -n2).bit_length() - 1
-            sub, idx_map = induced_subgraph(g, xm)
-            back = {orig: j for j, orig in enumerate(idx_map)}
-            if sub.n == 1:
-                segment = [y1]
-            elif sub.n == 2 and y1 != y2 and g.has_edge(y1, y2):
-                segment = [y1, y2]
-            else:
-                res = find_hamiltonian_path(sub, back[y1], back[y2], seed=seed + attempt)
-                if res.path is None:
-                    retries += 1
-                    continue
-                segment = [idx_map[v] for v in res.path.order]
-            cyc[i + 1:i + 1] = segment
-            for v in segment:
-                used |= 1 << v
-            done = True
-            break
-        if not done:
+            segment = _path_through(g, leftover, y1, y2, seed + i)
+            if segment is not None:
+                break
+            retries += 1
+        else:
             raise StageError("untouched-side", "could not splice the untouched side", {})
+        cyc[i + 1:i + 1] = segment
 
     trace["retries"] = retries
     trace["absorbed_side_sizes"] = absorbed
-    cycle = HamCycle(tuple(cyc))
-    check = verify_s_cycle(g, s, cycle)
-    trace["certified"] = bool(check)
-    trace["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    if not check:
-        raise StageError("certify", f"assembled cycle failed verification: {check.reason}",
-                         {"cycle_len": len(cyc)})
-    return ExtremalSolution(cycle, trace)
+    return _certified(g, s, cyc, trace)
 
 
 def solve_extremal_dense(
@@ -664,23 +639,11 @@ def solve_extremal_dense(
     extra vertex -> close with a Hamiltonian path of the remaining
     bipartite graph.  Certificate-checked before returning.
     """
-    p = params or ExtremalParams()
-    s = _check_sequence(g, seq)
-    am0, bm0 = g._mask(a), g._mask(b)
-    _check_common_hypotheses(g, am0, bm0, s, p.alpha, "dense-hypotheses", dense=True)
-
-    trace: dict = {"kind": "dense", "n": g.n, "k": len(s)}
-    t0 = time.perf_counter()
-    cp = cleanup_dense(g, am0, bm0, p)
+    p, s, cp, trace = _prepare(g, a, b, seq, params, "dense")
     amask = mask_of(cp.side_a)
     bmask = mask_of(cp.side_b)
     if amask.bit_count() < bmask.bit_count():
         amask, bmask = bmask, amask
-    trace["cleanup"] = {
-        "exceptional": len(cp.exc_a) + len(cp.exc_b),
-        "leftovers": len(cp.leftovers),
-        "low_degree": cp.low_degree_count,
-    }
 
     # rebalance: move internal-degree-heavy vertices to the small side
     moves = 0
@@ -736,24 +699,12 @@ def solve_extremal_dense(
         budget=r + len(s) - 1,
         avoid=sorted(keep_out),
     )
-    segs = list(system.paths)
-    trace["path_lengths"] = [len(p_) - 1 for p_ in segs]
+    trace["path_lengths"] = [len(p_) - 1 for p_ in system.paths]
 
-    path: list[int] = []
-    si = 0
-    if r > 0:
-        path = [matching_edges[0][0], matching_edges[0][1]]
-        for i in range(1, r):
-            path.extend(segs[si][1:])
-            si += 1
-            path.append(matching_edges[i][1])
-        path.extend(segs[si][1:])
-        si += 1
-    else:
-        path = [s[0]]
-    for _ in range(len(s) - 1):
-        path.extend(segs[si][1:])
-        si += 1
+    # a segment that starts off the path's end is joined by a matching edge
+    path = [matching_edges[0][0] if r else s[0]]
+    for seg in system.paths:
+        path.extend(seg[seg[0] == path[-1]:])
     if len(set(path)) != len(path):
         raise StageError("threading", "threaded path repeats a vertex", {"path": path})
 
@@ -789,12 +740,11 @@ def solve_extremal_dense(
             raise StageError("closing", "degenerate remainder without a closing edge", {})
         cyc = path
     else:
-        res = None
         for attempt in range(10):
             res = find_hamiltonian_path(sub, back[path[-1]], back[path[0]], seed=seed + attempt)
             if res.path is not None:
                 break
-        if res is None or res.path is None:
+        else:
             raise StageError(
                 "closing",
                 "no bipartite Hamiltonian path over the remainder",
@@ -802,14 +752,7 @@ def solve_extremal_dense(
             )
         cyc = path + [idx_map[v] for v in res.path.order[1:-1]]
 
-    cycle = HamCycle(tuple(cyc))
-    check = verify_s_cycle(g, s, cycle)
-    trace["certified"] = bool(check)
-    trace["elapsed_ms"] = round(1000 * (time.perf_counter() - t0), 3)
-    if not check:
-        raise StageError("certify", f"assembled cycle failed verification: {check.reason}",
-                         {"cycle_len": len(cyc)})
-    return ExtremalSolution(cycle, trace)
+    return _certified(g, s, cyc, trace)
 
 
 def solve_extremal(

@@ -128,21 +128,25 @@ def format_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
+    """Parse the edge-list format; malformed lines raise Graph6Error."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
+        try:
+            nums = [int(part) for part in line.split()]
+        except ValueError:
+            nums = []
         if n is None:
-            if len(parts) != 1:
-                raise ValueError(f"line {lineno}: expected vertex-count header")
-            n = int(parts[0])
-            continue
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v'")
-        edges.append((int(parts[0]), int(parts[1])))
+            if len(nums) != 1:
+                raise Graph6Error(f"line {lineno}: expected vertex-count header")
+            n = nums[0]
+        elif len(nums) != 2:
+            raise Graph6Error(f"line {lineno}: expected 'u v'")
+        else:
+            edges.append((nums[0], nums[1]))
     if n is None:
-        raise ValueError("missing vertex-count header line")
+        raise Graph6Error("missing vertex-count header line")
     return Graph.from_edges(n, edges)

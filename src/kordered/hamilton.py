@@ -11,7 +11,8 @@ the per-mask work O(n).
 This one DP is the only exact engine.  ``is_k_ordered`` runs it on the
 canonical sequences that no earlier cycle has realised, and
 ``find_hamiltonian_path`` runs it anchored at one endpoint alone.  The
-2^n table caps the exact answers at ``EXACT_SOLVER_LIMIT`` vertices.
+2^n table caps the exact answers at ``EXACT_SOLVER_LIMIT`` vertices; the
+DP refuses larger graphs before it allocates.
 ``enumerate_hamiltonian_cycles`` lists every Hamiltonian cycle and serves
 as a reference; no decision procedure here depends on it.
 """
@@ -97,7 +98,14 @@ def _check_sequence(g: Graph, seq: Sequence[int]) -> tuple[int, ...]:
 
 
 def _anchored_dp(adj: Sequence[int], n: int, seq: Sequence[int]) -> list[int]:
-    """dp[mask] = bitset of feasible last vertices for anchored paths."""
+    """dp[mask] = bitset of feasible last vertices for anchored paths.
+
+    Refuses n above EXACT_SOLVER_LIMIT before the 2^n table is allocated.
+    """
+    if n > EXACT_SOLVER_LIMIT:
+        raise GraphError(
+            f"n={n} exceeds EXACT_SOLVER_LIMIT={EXACT_SOLVER_LIMIT} of the exact subset DP"
+        )
     full = (1 << n) - 1
     amask = 0
     for v in seq:
@@ -241,18 +249,6 @@ def canonical_sequence(seq: Sequence[int]) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
-def _canonical_orderings(subset: tuple[int, ...]) -> list[tuple[int, ...]]:
-    head = subset[0]
-    rest = subset[1:]
-    if len(rest) < 2:
-        return [subset]
-    return [
-        (head,) + p
-        for p in permutations(rest)
-        if p[0] < p[-1]
-    ]
-
-
 def is_k_ordered(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether every k-sequence of distinct vertices has a
     Hamiltonian S-cycle; on failure return a witness sequence.
@@ -276,21 +272,23 @@ def is_k_ordered(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
         # every Hamiltonian graph is 2- and 3-ordered
         return True, None
 
-    subsets = list(combinations(range(g.n), k))
     struck: set[tuple[int, ...]] = set()
 
     def strike(cycle: HamCycle) -> None:
-        pos = {v: i for i, v in enumerate(cycle.order)}
-        struck.update(canonical_sequence(sorted(t, key=pos.__getitem__)) for t in subsets)
+        struck.update(canonical_sequence(t) for t in combinations(cycle.order, k))
 
     strike(cycle)
-    for s in sorted(o for t in subsets for o in _canonical_orderings(t)):
-        if s in struck:
-            continue
-        cycle = find_s_cycle(g, s)
-        if cycle is None:
-            return False, s
-        strike(cycle)
+    # a canonical sequence is its least vertex a, then an ordering of k-1
+    # larger vertices whose first entry is below its last: lexicographic order
+    for a in range(g.n):
+        for p in permutations(range(a + 1, g.n), k - 1):
+            s = (a,) + p
+            if p[0] > p[-1] or s in struck:
+                continue
+            cycle = find_s_cycle(g, s)
+            if cycle is None:
+                return False, s
+            strike(cycle)
     return True, None
 
 

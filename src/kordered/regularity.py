@@ -25,14 +25,16 @@ from .core import Graph, GraphError, bit_list
 
 def as_fraction(x) -> Fraction:
     """Exact threshold parsing; floats go through their decimal string so
-    0.3 means 3/10, not the binary float."""
+    0.3 means 3/10, not the binary float.  A literal that does not parse
+    raises GraphError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
+    try:
+        return Fraction(str(x) if isinstance(x, float) else x)
+    except (ValueError, ZeroDivisionError):
+        raise GraphError(f"not an exact number: {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -144,13 +146,12 @@ def is_epsilon_regular(
     eps,
     *,
     mode: str = "auto",
-    exact_cap: int = EXACT_CAP,
     samples: int = 10_000,
     seed: int = 0,
 ) -> RegularityVerdict:
     """Decide epsilon-regularity of the pair (a, b).
 
-    mode "exact" enumerates the quantifier (sides capped at ``exact_cap``
+    mode "exact" enumerates the quantifier (sides capped at ``EXACT_CAP``
     and raising beyond it), "sampled" draws ``samples`` random subset
     pairs, "auto" picks exact when the sides fit under the cap and
     otherwise downgrades to sampled; the verdict records which mode ran.
@@ -160,11 +161,11 @@ def is_epsilon_regular(
     e = as_fraction(eps)
     if e <= 0:
         raise GraphError("eps must be positive")
-    fits = len(a_list) <= exact_cap and len(b_list) <= exact_cap
+    fits = len(a_list) <= EXACT_CAP and len(b_list) <= EXACT_CAP
     if mode == "exact":
         if not fits:
             raise GraphError(
-                f"exact mode capped at side size {exact_cap}; use mode='auto' or 'sampled'"
+                f"exact mode capped at side size {EXACT_CAP}; use mode='auto' or 'sampled'"
             )
         return _exact_check(g, a_list, b_list, e)
     if mode == "sampled":
@@ -184,7 +185,6 @@ def is_super_regular(
     delta,
     *,
     mode: str = "auto",
-    exact_cap: int = EXACT_CAP,
     samples: int = 10_000,
     seed: int = 0,
 ) -> RegularityVerdict:
@@ -205,6 +205,4 @@ def is_super_regular(
     for v in b_list:
         if (g.adj[v] & am).bit_count() <= d * len(a_list):
             return RegularityVerdict(False, "exact", failing_vertex=v)
-    return is_epsilon_regular(
-        g, a, b, eps, mode=mode, exact_cap=exact_cap, samples=samples, seed=seed
-    )
+    return is_epsilon_regular(g, a, b, eps, mode=mode, samples=samples, seed=seed)

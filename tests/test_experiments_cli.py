@@ -195,14 +195,31 @@ def test_cli_sharpness_and_determinism(capsys):
 def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
     p = tmp_path / "c6.g6"
     p.write_text(encode_graph6(Graph.cycle(6)) + "\n")
+    bad_edges = tmp_path / "bad.txt"
+    bad_edges.write_text("3\n0 x\n")
+    not_ascii = tmp_path / "latin1.g6"
+    not_ascii.write_bytes(b"\xff\n")
     for argv in (
         ["scan", "--n", "8", "--k", "4", "--offsets=x"],
         ["sharpness", "--n", "8-x"],
         ["scycle", str(p), "--seq", "0,a"],
+        ["ordered", str(bad_edges), "--k", "2"],
+        ["regular", str(p), "--a", "0,2,4", "--b", "1,3,5", "--eps", "abc"],
+        ["regular", str(p), "--a", "0,2,4", "--b", "1,3,5", "--eps", "0.3", "--delta", "zz"],
+        ["scycle", str(tmp_path / "missing.g6"), "--seq", "0,1"],
+        ["scycle", str(not_ascii), "--seq", "0,1"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_cli_scycle_refuses_graphs_past_the_cap(tmp_path, capsys):
+    p = tmp_path / "k25.g6"
+    p.write_text(encode_graph6(Graph.complete(25)) + "\n")
+    assert main(["scycle", str(p), "--seq", "0,1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "EXACT_SOLVER_LIMIT" in err and err.count("\n") == 1, err
 
 
 def test_cli_scan_csv(capsys):

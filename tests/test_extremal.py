@@ -223,6 +223,36 @@ def test_sparse_odd_k_bridge_floor():
     assert sol.trace["bridges"] >= 5 - 1
 
 
+def test_sparse_moved_vertex_leaves_over_its_bridge():
+    # x is joined to all of A, so cleanup moves it from B into A; its
+    # reserved bridge then runs from x down to a lower B index, and the
+    # side switch out of x must still spend it
+    inst = build_sparse_cut_instance(41, 2, seed=0)
+    x = inst.side_b[-1]
+    g = inst.graph
+    extra = [(a, x) for a in inst.side_a if not g.has_edge(a, x)]
+    g = Graph.from_edges(41, list(g.edges()) + extra)
+    seq = (x, inst.side_b[0])
+    sol = solve_extremal_sparse(g, inst.side_a, inst.side_b, seq, DESK)
+    assert sol.trace["cleanup"]["exceptional"] == 1
+    order = sol.cycle.order
+    i = order.index(x)
+    neighbours = {order[i - 1], order[(i + 1) % len(order)]}
+    assert neighbours & (set(inst.side_b) - {x})
+
+
+def test_solver_traces_are_deterministic():
+    sparse = build_sparse_cut_instance(60, 4, seed=5)
+    dense = build_dense_bipartite_instance(61, 3, 1, seed=5)
+    for solver, inst, seq in (
+        (solve_extremal_sparse, sparse, (0, 31, 7, 45)),
+        (solve_extremal_dense, dense, (5, 40, 12)),
+    ):
+        runs = [solver(inst.graph, inst.side_a, inst.side_b, seq, DESK, seed=1) for _ in range(2)]
+        assert runs[0].trace == runs[1].trace
+        assert runs[0].cycle == runs[1].cycle
+
+
 def test_sparse_rejects_bad_hypotheses():
     inst = build_sparse_cut_instance(60, 2, 1, seed=9)
     with pytest.raises(HypothesisViolation):

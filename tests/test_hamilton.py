@@ -339,6 +339,15 @@ def test_inconclusive_flag_above_threshold():
     assert res.path is None and not res.authoritative
 
 
+def test_exact_engines_refuse_graphs_past_the_cap():
+    # n=25 would need a 2^25-entry DP table; the refusal comes before it
+    g = Graph.complete(25)
+    with pytest.raises(GraphError, match="EXACT_SOLVER_LIMIT"):
+        find_s_cycle(g, (0, 1, 2))
+    with pytest.raises(GraphError, match="EXACT_SOLVER_LIMIT"):
+        is_k_ordered(g, 4)
+
+
 def test_agrees_with_naive_path_oracle():
     rng = random.Random(30)
     for _ in range(60):
