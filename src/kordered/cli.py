@@ -182,20 +182,13 @@ def cmd_gen(args) -> int:
             "u_side": list(sg.u_side),
             "w_side": list(sg.w_side),
         }
-    elif args.kind == "sparse":
-        inst = build_sparse_cut_instance(args.n, args.k, args.cut_degree, seed=args.seed)
-        g = inst.graph
-        sidecar = dict(inst.params)
-        sidecar.update(
-            delta=inst.min_degree,
-            cross_density=str(inst.cross_density),
-            side_a=list(inst.side_a),
-            side_b=list(inst.side_b),
-        )
-    elif args.kind == "dense":
-        inst = build_dense_bipartite_instance(
-            args.n, args.k, imbalance=args.imbalance, seed=args.seed
-        )
+    elif args.kind in ("sparse", "dense"):
+        if args.kind == "sparse":
+            inst = build_sparse_cut_instance(args.n, args.k, args.cut_degree, seed=args.seed)
+        else:
+            inst = build_dense_bipartite_instance(
+                args.n, args.k, imbalance=args.imbalance, seed=args.seed
+            )
         g = inst.graph
         sidecar = dict(inst.params)
         sidecar.update(

@@ -10,11 +10,27 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Graph, density, degree_profile
+from .core import Graph, bits, density, degree_profile
 
 
 class ConstructionError(ValueError):
     """Raised when requested generator parameters are infeasible."""
+
+
+# share of the cross edges the dense bipartite generator deletes
+DELETE_FRAC = 0.05
+
+
+def _link(rows: list[int], u: int, v: int) -> None:
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+
+
+def _clique_rows(n: int, na: int) -> list[int]:
+    """Adjacency rows of two disjoint cliques on 0..na-1 and na..n-1."""
+    a_mask = (1 << na) - 1
+    b_mask = ((1 << n) - 1) ^ a_mask
+    return [(a_mask if v < na else b_mask) ^ (1 << v) for v in range(n)]
 
 
 def min_degree_threshold(n: int, k: int) -> int:
@@ -73,19 +89,13 @@ def build_sharpness_graph(n: int, k: int) -> SharpnessGraph:
     def w(j: int) -> int:  # 1-based
         return nu + j - 1
 
-    edges = []
-    for i in range(nu):
-        for j in range(i + 1, nu):
-            edges.append((i, j))
-    for i in range(nu, n):
-        for j in range(i + 1, n):
-            edges.append((i, j))
+    rows = _clique_rows(n, nu)
     for i in range(1, nu + 1):
         for j in range(1, h + 1):
-            edges.append((u(i), w(j)))
+            _link(rows, u(i), w(j))
     for j in range(1, nw + 1):
         for i in range(1, h):
-            edges.append((u(i), w(j)))
+            _link(rows, u(i), w(j))
 
     witness: list[int] = []
     for i in range(1, h + 1):
@@ -94,9 +104,8 @@ def build_sharpness_graph(n: int, k: int) -> SharpnessGraph:
     if k % 2 == 1:
         witness.append(u(2 * h))
 
-    graph = Graph.from_edges(n, set(tuple(sorted(e)) for e in edges))
     return SharpnessGraph(
-        graph=graph,
+        graph=Graph(n, tuple(rows)),
         u_side=tuple(range(nu)),
         w_side=tuple(range(nu, n)),
         witness=tuple(witness),
@@ -115,6 +124,20 @@ class ClusterInstance:
     min_degree: int
     cross_density: Fraction
     params: dict
+
+
+def _cluster_instance(rows: list[int], na: int, params: dict) -> ClusterInstance:
+    """Freeze the rows into a graph with sides 0..na-1 and na..n-1."""
+    g = Graph(len(rows), tuple(rows))
+    side_a, side_b = tuple(range(na)), tuple(range(na, g.n))
+    return ClusterInstance(
+        graph=g,
+        side_a=side_a,
+        side_b=side_b,
+        min_degree=degree_profile(g).min_degree,
+        cross_density=density(g, side_a, side_b),
+        params=params,
+    )
 
 
 def build_sparse_cut_instance(
@@ -142,53 +165,33 @@ def build_sparse_cut_instance(
         raise ConstructionError("cut_degree larger than the opposite side")
 
     rng = random.Random(seed)
-    a_side = list(range(na))
-    b_side = list(range(na, n))
-    edges = set()
-    for side in (a_side, b_side):
-        for i, uu in enumerate(side):
-            for vv in side[i + 1:]:
-                edges.add((uu, vv))
-    shifts = rng.sample(range(nb), cut_degree)
-    for t in shifts:
+    rows = _clique_rows(n, na)
+    a_mask = (1 << na) - 1
+    for t in rng.sample(range(nb), cut_degree):
         for i in range(na):
-            edges.add((a_side[i], b_side[(i + t) % nb]))
-    # the smaller side's round-robin can leave b-vertices short when na < nb
-    g = Graph.from_edges(n, edges)
-    deficit = [v for v in b_side if g.deg_into(v, a_side) < cut_degree]
-    for v in deficit:
-        have = set(range(na)) - set(u for u in a_side if g.has_edge(u, v))
-        # pair unmet b-vertices with the a-vertices of least cross degree
-        by_load = sorted(have, key=lambda u: (g.deg_into(u, b_side), u))
-        need = cut_degree - g.deg_into(v, a_side)
-        for u in by_load[:need]:
-            edges.add((u, v))
-        g = Graph.from_edges(n, edges)
-
-    prof = degree_profile(g)
-    return ClusterInstance(
-        graph=g,
-        side_a=tuple(a_side),
-        side_b=tuple(b_side),
-        min_degree=prof.min_degree,
-        cross_density=density(g, a_side, b_side),
-        params={"kind": "sparse", "n": n, "k": k, "cut_degree": cut_degree, "seed": seed},
+            _link(rows, i, na + (i + t) % nb)
+    # the smaller side's round-robin can leave b-vertices short when na < nb;
+    # pair them with the a-vertices of least cross degree
+    for v in range(na, n):
+        need = cut_degree - (rows[v] & a_mask).bit_count()
+        if need > 0:
+            by_load = sorted(bits(a_mask & ~rows[v]), key=lambda u: (rows[u] >> na).bit_count())
+            for u in by_load[:need]:
+                _link(rows, u, v)
+    return _cluster_instance(
+        rows, na, {"kind": "sparse", "n": n, "k": k, "cut_degree": cut_degree, "seed": seed}
     )
 
 
 def build_dense_bipartite_instance(
-    n: int,
-    k: int,
-    imbalance: int = 0,
-    seed: int = 0,
-    delete_frac: float = 0.05,
+    n: int, k: int, imbalance: int = 0, seed: int = 0
 ) -> ClusterInstance:
     """Near-complete bipartite instance with |A| - |B| = imbalance.
 
-    A seeded fraction of cross edges is deleted under a per-vertex budget,
-    then same-side edges are added so every vertex clears the degree floor
-    min_degree_threshold(n, k); in particular A carries enough internal
-    edges to support an imbalance-sized matching.
+    A seeded fraction ``DELETE_FRAC`` of cross edges is deleted under a
+    per-vertex budget, then same-side edges are added so every vertex clears
+    the degree floor min_degree_threshold(n, k); in particular A carries
+    enough internal edges to support an imbalance-sized matching.
     """
     r = imbalance
     if r < 0 or r > max(2, n // 10):
@@ -202,80 +205,55 @@ def build_dense_bipartite_instance(
     floor_deg = min_degree_threshold(n, k)
 
     rng = random.Random(seed)
-    a_side = list(range(na))
-    b_side = list(range(na, n))
-    cross = {(u, v) for u in a_side for v in b_side}
+    a_mask = (1 << na) - 1
+    b_mask = ((1 << n) - 1) ^ a_mask
+    rows = [b_mask] * na + [a_mask] * nb
 
     # delete a sprinkling of cross edges, bounded per vertex
-    budget = {v: max(0, int(delete_frac * (nb if v < na else na))) for v in range(n)}
-    deletable = sorted(cross)
+    budget = [int(DELETE_FRAC * nb)] * na + [int(DELETE_FRAC * na)] * nb
+    deletable = [(u, v) for u in range(na) for v in range(na, n)]
     rng.shuffle(deletable)
-    target_deletions = int(delete_frac * len(deletable))
+    target_deletions = int(DELETE_FRAC * len(deletable))
     removed = 0
-    for (u, v) in deletable:
+    for u, v in deletable:
         if removed >= target_deletions:
             break
         if budget[u] > 0 and budget[v] > 0:
-            cross.discard((u, v))
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
             budget[u] -= 1
             budget[v] -= 1
             removed += 1
 
-    edges = set(cross)
-    cross_deg = {v: 0 for v in range(n)}
-    for u, v in cross:
-        cross_deg[u] += 1
-        cross_deg[v] += 1
-
-    internal = {v: 0 for v in range(n)}
-
-    def add_internal(side: list[int]) -> None:
-        # raise every deficient vertex to the floor by pairing inside the side
-        while True:
-            need = [v for v in side if cross_deg[v] + internal[v] < floor_deg]
-            if not need:
-                return
-            v = need[0]
-            partners = sorted(
-                (u for u in side if u != v and tuple(sorted((u, v))) not in edges),
-                key=lambda u: (internal[u], u),
-            )
-            if not partners:
-                raise ConstructionError("cannot satisfy the degree floor")
-            u = partners[0]
-            edges.add(tuple(sorted((u, v))))
-            internal[u] += 1
-            internal[v] += 1
-
     # plant a matching of size r inside A for the balancing step
-    free_a = [v for v in a_side]
+    free_a = list(range(na))
     rng.shuffle(free_a)
     for i in range(r):
-        u, v = free_a[2 * i], free_a[2 * i + 1]
-        edges.add(tuple(sorted((u, v))))
-        internal[u] += 1
-        internal[v] += 1
+        _link(rows, free_a[2 * i], free_a[2 * i + 1])
 
-    add_internal(a_side)
-    add_internal(b_side)
+    # raise every deficient vertex to the floor by pairing inside its side
+    # with the partner of least internal degree; degrees only grow, so one
+    # pass in index order visits the deficient vertices in turn
+    for side in (a_mask, b_mask):
+        internal = [(row & side).bit_count() for row in rows]
+        for v in bits(side):
+            while rows[v].bit_count() < floor_deg:
+                partners = side & ~rows[v] & ~(1 << v)
+                if not partners:
+                    raise ConstructionError("cannot satisfy the degree floor")
+                u = min(bits(partners), key=internal.__getitem__)
+                _link(rows, u, v)
+                internal[u] += 1
+                internal[v] += 1
 
-    g = Graph.from_edges(n, edges)
-    prof = degree_profile(g)
-    return ClusterInstance(
-        graph=g,
-        side_a=tuple(a_side),
-        side_b=tuple(b_side),
-        min_degree=prof.min_degree,
-        cross_density=density(g, a_side, b_side),
-        params={
-            "kind": "dense",
-            "n": n,
-            "k": k,
-            "imbalance": r,
-            "seed": seed,
-            "delete_frac": delete_frac,
-        },
-    )
+    return _cluster_instance(rows, na, {
+        "kind": "dense",
+        "n": n,
+        "k": k,
+        "imbalance": r,
+        "seed": seed,
+        "delete_frac": DELETE_FRAC,
+    })
 
 
 def random_graph_min_degree(n: int, target_delta: int, seed: int = 0) -> Graph:
@@ -285,24 +263,19 @@ def random_graph_min_degree(n: int, target_delta: int, seed: int = 0) -> Graph:
         raise ConstructionError("target_delta must be in 0..n-1")
     rng = random.Random(seed)
     p = min(1.0, (target_delta + 1) / max(1, n - 1))
-    deg = [0] * n
-    edges = set()
+    rows = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                edges.add((u, v))
-                deg[u] += 1
-                deg[v] += 1
+                _link(rows, u, v)
+    deg = [row.bit_count() for row in rows]
+    full = (1 << n) - 1
     while True:
-        lo = min(range(n), key=lambda v: (deg[v], v))
+        lo = min(range(n), key=deg.__getitem__)
         if deg[lo] >= target_delta:
             break
-        candidates = sorted(
-            (v for v in range(n) if v != lo and tuple(sorted((lo, v))) not in edges),
-            key=lambda v: (deg[v], v),
-        )
-        v = candidates[0]
-        edges.add(tuple(sorted((lo, v))))
+        v = min(bits(full & ~rows[lo] & ~(1 << lo)), key=deg.__getitem__)
+        _link(rows, lo, v)
         deg[lo] += 1
         deg[v] += 1
-    return Graph.from_edges(n, edges)
+    return Graph(n, tuple(rows))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Graph, GraphError, bit_list
+from .core import Graph, GraphError, bit_list, mask_of
 
 
 def as_fraction(x) -> Fraction:
@@ -49,6 +49,16 @@ class RegularityVerdict:
 
 
 EXACT_CAP = 14
+
+
+def _checked_eps(eps, mode: str) -> Fraction:
+    """Parse eps and check it and the mode before any verdict is formed."""
+    e = as_fraction(eps)
+    if e <= 0:
+        raise GraphError("eps must be positive")
+    if mode not in ("auto", "exact", "sampled"):
+        raise GraphError(f"unknown mode {mode!r}")
+    return e
 
 
 def _sides(g: Graph, a, b) -> tuple[list[int], list[int]]:
@@ -158,23 +168,15 @@ def is_epsilon_regular(
     A sampled verdict never claims irregularity without a witness pair.
     """
     a_list, b_list = _sides(g, a, b)
-    e = as_fraction(eps)
-    if e <= 0:
-        raise GraphError("eps must be positive")
+    e = _checked_eps(eps, mode)
     fits = len(a_list) <= EXACT_CAP and len(b_list) <= EXACT_CAP
-    if mode == "exact":
-        if not fits:
-            raise GraphError(
-                f"exact mode capped at side size {EXACT_CAP}; use mode='auto' or 'sampled'"
-            )
-        return _exact_check(g, a_list, b_list, e)
-    if mode == "sampled":
+    if mode == "exact" and not fits:
+        raise GraphError(
+            f"exact mode capped at side size {EXACT_CAP}; use mode='auto' or 'sampled'"
+        )
+    if mode == "sampled" or not fits:
         return _sampled_check(g, a_list, b_list, e, samples, seed)
-    if mode == "auto":
-        if fits:
-            return _exact_check(g, a_list, b_list, e)
-        return _sampled_check(g, a_list, b_list, e, samples, seed)
-    raise GraphError(f"unknown mode {mode!r}")
+    return _exact_check(g, a_list, b_list, e)
 
 
 def is_super_regular(
@@ -192,13 +194,9 @@ def is_super_regular(
     needs degree > delta*|B| into b and vice versa.  A failing vertex is
     reported on the verdict."""
     a_list, b_list = _sides(g, a, b)
+    _checked_eps(eps, mode)
     d = as_fraction(delta)
-    bm = 0
-    for v in b_list:
-        bm |= 1 << v
-    am = 0
-    for v in a_list:
-        am |= 1 << v
+    am, bm = mask_of(a_list), mask_of(b_list)
     for v in a_list:
         if (g.adj[v] & bm).bit_count() <= d * len(b_list):
             return RegularityVerdict(False, "exact", failing_vertex=v)

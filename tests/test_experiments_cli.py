@@ -195,6 +195,8 @@ def test_cli_sharpness_and_determinism(capsys):
 def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
     p = tmp_path / "c6.g6"
     p.write_text(encode_graph6(Graph.cycle(6)) + "\n")
+    k33 = tmp_path / "k33.g6"
+    k33.write_text(encode_graph6(Graph.complete_bipartite(3, 3)) + "\n")
     bad_edges = tmp_path / "bad.txt"
     bad_edges.write_text("3\n0 x\n")
     not_ascii = tmp_path / "latin1.g6"
@@ -206,6 +208,8 @@ def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
         ["ordered", str(bad_edges), "--k", "2"],
         ["regular", str(p), "--a", "0,2,4", "--b", "1,3,5", "--eps", "abc"],
         ["regular", str(p), "--a", "0,2,4", "--b", "1,3,5", "--eps", "0.3", "--delta", "zz"],
+        ["regular", str(k33), "--a", "0,1,2", "--b", "3,4,5", "--eps", "abc", "--delta", "1"],
+        ["regular", str(k33), "--a", "0,1,2", "--b", "3,4,5", "--eps", "-1", "--delta", "1"],
         ["scycle", str(tmp_path / "missing.g6"), "--seq", "0,1"],
         ["scycle", str(not_ascii), "--seq", "0,1"],
     ):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from kordered import (
     build_sharpness_graph,
     build_sparse_cut_instance,
     degree_profile,
+    encode_graph6,
     enumerate_hamiltonian_cycles,
     find_s_cycle,
     min_degree_threshold,
@@ -197,3 +199,53 @@ def test_random_min_degree_deterministic():
 
 def test_random_min_degree_forced_complete():
     assert random_graph_min_degree(12, 11, seed=0) == Graph.complete(12)
+
+
+# -- pinned output --------------------------------------------------------
+#
+# The tests above compare two calls in one process; these pin which graph
+# a parameter set and seed give, so a silent change of a generator shows.
+
+
+def _pinned_records():
+    for n in range(4, 25):
+        for k in range(2, n // 2 + 1):
+            sg = build_sharpness_graph(n, k)
+            yield ("sharpness", n, k, encode_graph6(sg.graph), sg.u_side, sg.w_side,
+                   sg.witness, sg.min_degree)
+    for seed in range(3):
+        for n in (8, 9, 24, 25, 60):
+            for k in (2, 4):
+                for cut_degree in (None, 3):
+                    yield _cluster_record(build_sparse_cut_instance(n, k, cut_degree, seed=seed))
+        for n in (40, 41, 61, 62):
+            for k in (2, 5):
+                for r in range(n % 2, max(2, n // 10) + 1, 2):
+                    yield _cluster_record(build_dense_bipartite_instance(n, k, r, seed=seed))
+        for n in (5, 10, 20, 40):
+            for delta in (0, n // 4, n // 2 + 1, n - 2):
+                g = random_graph_min_degree(n, delta, seed=seed)
+                yield ("random", n, delta, seed, encode_graph6(g), degree_profile(g).min_degree)
+
+
+def _cluster_record(inst):
+    return (encode_graph6(inst.graph), inst.side_a, inst.side_b, inst.min_degree,
+            str(inst.cross_density), sorted(inst.params.items()))
+
+
+# recorded with the generators as they were before their one-pass rewrite
+PINNED_DIGEST = "1da053b17ea5fa160096957183d26e1e175b1134aa13e78e84ec3f2bea6f640a"
+
+
+def test_generator_output_is_pinned():
+    h = hashlib.sha256()
+    for record in _pinned_records():
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == PINNED_DIGEST
+
+
+def test_generator_graph6_literals():
+    assert encode_graph6(build_sharpness_graph(8, 4).graph) == "G~~{[["
+    assert encode_graph6(build_sparse_cut_instance(8, 2, seed=1).graph) == "G~EIX["
+    assert encode_graph6(build_dense_bipartite_instance(10, 2, seed=1).graph) == "I?B~vrw}?"
+    assert encode_graph6(random_graph_min_degree(8, 4, seed=1)) == "GjyV{{"

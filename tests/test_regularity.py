@@ -109,6 +109,12 @@ def test_degree_floor_is_strict():
     g = Graph.complete_bipartite(4, 4).without_edges([(0, 4), (0, 5)])
     v = is_super_regular(g, range(4), range(4, 8), "0.9", "0.5")
     assert not v.regular and v.failing_vertex == 0
+    # a bad eps or mode is refused before the floor can answer
+    for eps, mode in (("abc", "auto"), ("-1", "auto"), ("0.9", "bogus")):
+        with pytest.raises(GraphError):
+            is_super_regular(g, range(4), range(4, 8), eps, "0.5", mode=mode)
+    with pytest.raises(GraphError):
+        is_epsilon_regular(g, range(4), range(4, 8), "0.9", mode="bogus")
 
 
 def test_as_fraction_decimal_semantics():
