@@ -56,18 +56,32 @@ class Graph:
         if len(self.adj) != self.n:
             raise GraphError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
         full = (1 << self.n) - 1
-        for u, row in enumerate(self.adj):
+        adj = self.adj
+        # Symmetry: every arc u->v with v > u must have its reverse.  Those
+        # reverses are distinct arcs below the diagonal, so when the upper
+        # arcs are half of all arcs they are every lower arc too.
+        arcs = upper = mirrored = 0
+        for u, row in enumerate(adj):
             if row & ~full:
                 raise GraphError(f"row {u} has bits outside 0..{self.n - 1}")
             if row & (1 << u):
                 raise GraphError(f"loop at vertex {u}")
-        for u, row in enumerate(self.adj):
+            arcs += row.bit_count()
+            above = row >> (u + 1)
+            upper += above.bit_count()
+            while above:
+                b = above & -above
+                above ^= b
+                mirrored += adj[u + b.bit_length()] >> u & 1
+        if mirrored == upper and 2 * upper == arcs:
+            return
+        for u, row in enumerate(adj):
             r = row
             while r:
                 b = r & -r
                 r ^= b
                 v = b.bit_length() - 1
-                if not self.adj[v] & (1 << u):
+                if not adj[v] & (1 << u):
                     raise GraphError(f"asymmetric edge {u}-{v}")
 
     # -- constructors ------------------------------------------------

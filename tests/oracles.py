@@ -5,7 +5,10 @@ matching number by exhaustive branching over the lowest uncovered vertex,
 Hamiltonian cycles by recursive neighbor-set backtracking, S-cycle
 existence by scanning every enumerated cycle, k-orderedness by marking
 the order every enumerated cycle realises, regularity by full quantifier
-enumeration.  Slow on purpose; only run at desk scale.
+enumeration.  The one exception is the list DP over all 2^n masks that
+the staged exact kernel replaced: it stays as the oracle that the kernel
+returns the very same cycles and paths.  Slow on purpose; only run at
+desk scale.
 """
 
 from __future__ import annotations
@@ -125,6 +128,75 @@ def first_failing_sequence_naive(g: Graph, k: int):
             if not any(cycle_meets_order(c, seq) for c in cycles):
                 return seq
     return None
+
+
+def anchored_list_dp(g: Graph, seq) -> list[int]:
+    """dp[mask] = bitset of last vertices of paths from seq[0] that visit
+    exactly ``mask`` and enter the other anchors in order.
+
+    The list DP over all 2^n masks that the staged kernel replaced; kept
+    as the "same cycle, same path" oracle, so only run it at small n.
+    """
+    n = g.n
+    adj = g.adj
+    full = (1 << n) - 1
+    amask = 0
+    for v in seq:
+        amask |= 1 << v
+    free = full & ~amask
+    k = len(seq)
+    gate = [0] * (k + 1)
+    for t in range(1, k):
+        gate[t] = 1 << seq[t]
+    start_bit = 1 << seq[0]
+    dp = [0] * (full + 1)
+    dp[start_bit] = start_bit
+    for mask in range(start_bit, full + 1):
+        lasts = dp[mask]
+        if not lasts:
+            continue
+        t = (mask & amask).bit_count()
+        cand = (free | gate[t]) & ~mask
+        while cand:
+            nb = cand & -cand
+            cand ^= nb
+            if lasts & adj[nb.bit_length() - 1]:
+                dp[mask | nb] |= nb
+    return dp
+
+
+def list_dp_walk_back(g: Graph, dp: list[int], start: int, last: int) -> tuple[int, ...]:
+    """Read a path back from the full mask; each step takes the
+    lowest-index predecessor."""
+    out = []
+    cur, mask = last, (1 << g.n) - 1
+    while cur != start:
+        out.append(cur)
+        mask ^= 1 << cur
+        preds = dp[mask] & g.adj[cur]
+        cur = (preds & -preds).bit_length() - 1
+    out.append(start)
+    out.reverse()
+    return tuple(out)
+
+
+def s_cycle_by_list_dp(g: Graph, seq):
+    """The cycle order the list DP returns for seq, or None."""
+    if g.n < 3:
+        return None
+    dp = anchored_list_dp(g, seq)
+    ends = dp[(1 << g.n) - 1] & g.adj[seq[0]]
+    if not ends:
+        return None
+    return list_dp_walk_back(g, dp, seq[0], (ends & -ends).bit_length() - 1)
+
+
+def ham_path_by_list_dp(g: Graph, x: int, y: int):
+    """The x-y path order the list DP returns, or None."""
+    dp = anchored_list_dp(g, (x,))
+    if not dp[(1 << g.n) - 1] >> y & 1:
+        return None
+    return list_dp_walk_back(g, dp, x, y)
 
 
 def ham_path_exists_naive(g: Graph, x: int, y: int) -> bool:

@@ -134,6 +134,19 @@ def test_constructor_rejects_loops_and_asymmetry():
         Graph(2, (0b100, 0b01))  # row wider than n
 
 
+def test_one_way_edges_are_named_in_either_direction():
+    rows = list(Graph.complete(5).adj)
+    rows[3] &= ~(1 << 1)  # 1->3 stays: a one-way arc above the diagonal
+    with pytest.raises(GraphError, match="asymmetric edge 1-3"):
+        Graph(5, tuple(rows))
+    rows = list(Graph.complete(5).adj)
+    rows[1] &= ~(1 << 3)  # 3->1 stays: a one-way arc below the diagonal
+    with pytest.raises(GraphError, match="asymmetric edge 3-1"):
+        Graph(5, tuple(rows))
+    with pytest.raises(GraphError, match="asymmetric edge 0-2"):
+        Graph(4, (0b0100, 0b0100, 0b0010, 0b0000))  # 0->2 and 2->1 one-way
+
+
 def test_graph_immutable():
     g = Graph.complete(3)
     with pytest.raises(AttributeError):

@@ -22,10 +22,12 @@ from kordered import (
 )
 from oracles import (
     first_failing_sequence_naive,
+    ham_path_by_list_dp,
     ham_path_exists_naive,
     is_k_ordered_by_enumeration,
     naive_hamiltonian_cycles,
     random_graph,
+    s_cycle_by_list_dp,
     s_cycle_exists_naive,
 )
 
@@ -81,6 +83,28 @@ def test_agrees_with_naive_oracle():
         k = rng.randint(2, min(5, n))
         seq = tuple(rng.sample(range(n), k))
         assert (find_s_cycle(g, seq) is not None) == s_cycle_exists_naive(g, seq)
+
+
+def test_same_cycles_and_paths_as_the_list_dp():
+    # the staged kernel reaches the list DP's states and walks back the
+    # same way, so every answer is the same one, None included
+    rng = random.Random(24)
+    nones = 0
+    for _ in range(300):
+        n = rng.randint(3, 13)
+        g = random_graph(rng, n, rng.uniform(0.2, 0.95))
+        k = rng.randint(1, min(6, n))
+        seq = tuple(rng.sample(range(n), max(k, 2)))
+        if k == 1:
+            x, y = seq
+            got = find_hamiltonian_path(g, x, y, restarts=0).path
+            want = ham_path_by_list_dp(g, x, y)
+        else:
+            got = find_s_cycle(g, seq)
+            want = s_cycle_by_list_dp(g, seq)
+        assert (got.order if got else None) == want, (g, seq)
+        nones += want is None
+    assert 50 < nones < 250
 
 
 def test_dihedral_invariance():
