@@ -6,10 +6,20 @@ checking is co-NP-hard in general, so the exact mode is capped by size;
 above the cap the checker samples subset pairs and only ever reports
 "irregular" together with a concrete witness.
 
-The exact mode does not enumerate Y at all: for a fixed X and fixed |Y|
-the extreme densities are reached by taking the |Y| vertices of largest
-(resp. smallest) degree into X, so scanning those extremes over all X and
-all admissible |Y| decides the quantifier exactly.
+The exact mode scans only |X| = x_min and |Y| = y_min, the least
+admissible sizes, and never enumerates Y.  Fix X and order B by degree
+into X: the densest Y of a given size is the top of that order, and the
+average of the s largest degrees never rises as s grows (nor that of the
+s smallest falls), so a Y of any size deviating upwards (downwards)
+implies that the y_min densest (sparsest) vertices do too.  The same
+averaging over X, with Y fixed, takes any deviating pair down to
+|X| = x_min.  So one pass over the x_min-subsets of A, in lexicographic
+order, testing the densest then the sparsest y_min vertices against two
+integer edge-count thresholds, finds a deviating pair if one exists.  It
+also finds the pair that a scan over every |X| >= x_min and |Y| >= y_min
+(sizes increasing, densest before sparsest) would find first: that scan
+meets the x_min-subsets first, and any X that deviates at some |Y|
+already deviates at y_min, on the same side.
 """
 
 from __future__ import annotations
@@ -71,9 +81,7 @@ def _sides(g: Graph, a, b) -> tuple[list[int], list[int]]:
 
 
 def _pair_density(g: Graph, xs: list[int], ys: list[int]) -> Fraction:
-    ym = 0
-    for v in ys:
-        ym |= 1 << v
+    ym = mask_of(ys)
     e = sum((g.adj[x] & ym).bit_count() for x in xs)
     return Fraction(e, len(xs) * len(ys))
 
@@ -92,35 +100,33 @@ def _exact_check(
     y_min = _min_size(eps, nb)
     if x_min > na or y_min > nb:
         return RegularityVerdict(True, "exact")
-    for size_x in range(x_min, na + 1):
-        for xs in combinations(a_list, size_x):
-            xm = 0
-            for v in xs:
-                xm |= 1 << v
-            # degree of each b-vertex into X; extremes over Y of each size
-            into_x = [((g.adj[v] & xm).bit_count(), v) for v in b_list]
-            hi = sorted(into_x, key=lambda t: (-t[0], t[1]))
-            lo = sorted(into_x)
-            run_hi = 0
-            run_lo = 0
-            pref_hi = []
-            pref_lo = []
-            for i in range(nb):
-                run_hi += hi[i][0]
-                run_lo += lo[i][0]
-                pref_hi.append(run_hi)
-                pref_lo.append(run_lo)
-            for size_y in range(y_min, nb + 1):
-                denom = size_x * size_y
-                d_hi = Fraction(pref_hi[size_y - 1], denom)
-                if d_hi - d0 >= eps:
-                    ys = tuple(sorted(v for _, v in hi[:size_y]))
-                    return RegularityVerdict(False, "exact", (tuple(xs), ys, d_hi - d0))
-                d_lo = Fraction(pref_lo[size_y - 1], denom)
-                if d0 - d_lo >= eps:
-                    ys = tuple(sorted(v for _, v in lo[:size_y]))
-                    return RegularityVerdict(False, "exact", (tuple(xs), ys, d0 - d_lo))
+    cells = x_min * y_min
+    # edge counts between X and Y, |X| = x_min and |Y| = y_min, that deviate
+    # from d0 by at least eps: at least hi_at, or at most lo_at
+    hi_at = math.ceil((d0 + eps) * cells)
+    lo_at = math.floor((d0 - eps) * cells)
+    b_rows = [g.adj[v] for v in b_list]
+    for x_bits in combinations([1 << v for v in a_list], x_min):
+        into_x = sorted(map(int.bit_count, map(sum(x_bits).__and__, b_rows)))
+        if sum(into_x[-y_min:]) >= hi_at:
+            return _exact_witness(g, x_bits, b_list, y_min, d0, high=True)
+        if sum(into_x[:y_min]) <= lo_at:
+            return _exact_witness(g, x_bits, b_list, y_min, d0, high=False)
     return RegularityVerdict(True, "exact")
+
+
+def _exact_witness(
+    g: Graph, x_bits: tuple[int, ...], b_list: list[int], y_min: int, d0: Fraction, high: bool
+) -> RegularityVerdict:
+    """The verdict for an X known to deviate: Y is its y_min densest
+    (high) or sparsest b-vertices, ties to the lower index."""
+    xm = sum(x_bits)
+    into_x = [((g.adj[v] & xm).bit_count(), v) for v in b_list]
+    picked = sorted(into_x, key=lambda t: (-t[0], t[1]) if high else t)[:y_min]
+    d = Fraction(sum(deg for deg, _ in picked), len(x_bits) * y_min)
+    xs = tuple(b.bit_length() - 1 for b in x_bits)
+    ys = tuple(sorted(v for _, v in picked))
+    return RegularityVerdict(False, "exact", (xs, ys, d - d0 if high else d0 - d))
 
 
 def _sampled_check(
@@ -137,15 +143,24 @@ def _sampled_check(
     y_min = _min_size(eps, nb)
     if x_min > na or y_min > nb:
         return RegularityVerdict(True, "sampled")
+    p0, q0 = d0.numerator, d0.denominator
+    pe, qe = eps.numerator, eps.denominator
+    adj = g.adj
     rng = random.Random(seed)
     for _ in range(samples):
         sx = rng.randint(x_min, na)
         sy = rng.randint(y_min, nb)
         xs = sorted(rng.sample(a_list, sx))
         ys = sorted(rng.sample(b_list, sy))
-        dev = abs(_pair_density(g, xs, ys) - d0)
-        if dev >= eps:
-            return RegularityVerdict(False, "sampled", (tuple(xs), tuple(ys), dev))
+        ym = mask_of(ys)
+        e = sum((adj[x] & ym).bit_count() for x in xs)
+        # |e/(sx*sy) - p0/q0| >= pe/qe, in integers
+        cells = sx * sy
+        gap = abs(e * q0 - p0 * cells)
+        if gap * qe >= pe * cells * q0:
+            return RegularityVerdict(
+                False, "sampled", (tuple(xs), tuple(ys), Fraction(gap, cells * q0))
+            )
     return RegularityVerdict(True, "sampled")
 
 

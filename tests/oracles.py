@@ -5,19 +5,22 @@ matching number by exhaustive branching over the lowest uncovered vertex,
 Hamiltonian cycles by recursive neighbor-set backtracking, S-cycle
 existence by scanning every enumerated cycle, k-orderedness by marking
 the order every enumerated cycle realises, regularity by full quantifier
-enumeration.  The one exception is the list DP over all 2^n masks that
-the staged exact kernel replaced: it stays as the oracle that the kernel
-returns the very same cycles and paths.  Slow on purpose; only run at
-desk scale.
+enumeration.  Two exceptions keep a replaced implementation as a
+same-answer oracle: the list DP over all 2^n masks that the staged exact
+kernel replaced, for the very same cycles and paths, and the regularity
+checks with every subset size and Fraction densities, for the very same
+verdicts and witnesses.  Slow on purpose; only run at desk scale.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from kordered import Graph, enumerate_hamiltonian_cycles
+from kordered.regularity import RegularityVerdict, _min_size, _pair_density
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -254,6 +257,76 @@ def regular_pair_naive(g: Graph, a, b, eps: Fraction):
                     if dev >= eps:
                         return False, (xs, ys, dev)
     return True, None
+
+
+def exact_regularity_all_sizes(
+    g: Graph, a_list: list[int], b_list: list[int], eps: Fraction
+) -> RegularityVerdict:
+    """The exact check the one-size scan replaced: every |X| >= x_min,
+    every |Y| >= y_min, densities as Fractions.  Same verdict and witness."""
+    na, nb = len(a_list), len(b_list)
+    d0 = _pair_density(g, a_list, b_list)
+    x_min = _min_size(eps, na)
+    y_min = _min_size(eps, nb)
+    if x_min > na or y_min > nb:
+        return RegularityVerdict(True, "exact")
+    for size_x in range(x_min, na + 1):
+        for xs in combinations(a_list, size_x):
+            xm = 0
+            for v in xs:
+                xm |= 1 << v
+            # degree of each b-vertex into X; extremes over Y of each size
+            into_x = [((g.adj[v] & xm).bit_count(), v) for v in b_list]
+            hi = sorted(into_x, key=lambda t: (-t[0], t[1]))
+            lo = sorted(into_x)
+            run_hi = 0
+            run_lo = 0
+            pref_hi = []
+            pref_lo = []
+            for i in range(nb):
+                run_hi += hi[i][0]
+                run_lo += lo[i][0]
+                pref_hi.append(run_hi)
+                pref_lo.append(run_lo)
+            for size_y in range(y_min, nb + 1):
+                denom = size_x * size_y
+                d_hi = Fraction(pref_hi[size_y - 1], denom)
+                if d_hi - d0 >= eps:
+                    ys = tuple(sorted(v for _, v in hi[:size_y]))
+                    return RegularityVerdict(False, "exact", (tuple(xs), ys, d_hi - d0))
+                d_lo = Fraction(pref_lo[size_y - 1], denom)
+                if d0 - d_lo >= eps:
+                    ys = tuple(sorted(v for _, v in lo[:size_y]))
+                    return RegularityVerdict(False, "exact", (tuple(xs), ys, d0 - d_lo))
+    return RegularityVerdict(True, "exact")
+
+
+def sampled_regularity_by_fractions(
+    g: Graph,
+    a_list: list[int],
+    b_list: list[int],
+    eps: Fraction,
+    samples: int,
+    seed: int,
+) -> RegularityVerdict:
+    """The sampled check with Fraction densities, which the integer
+    comparison replaced: same draws, same verdict and witness per seed."""
+    na, nb = len(a_list), len(b_list)
+    d0 = _pair_density(g, a_list, b_list)
+    x_min = _min_size(eps, na)
+    y_min = _min_size(eps, nb)
+    if x_min > na or y_min > nb:
+        return RegularityVerdict(True, "sampled")
+    rng = random.Random(seed)
+    for _ in range(samples):
+        sx = rng.randint(x_min, na)
+        sy = rng.randint(y_min, nb)
+        xs = sorted(rng.sample(a_list, sx))
+        ys = sorted(rng.sample(b_list, sy))
+        dev = abs(_pair_density(g, xs, ys) - d0)
+        if dev >= eps:
+            return RegularityVerdict(False, "sampled", (tuple(xs), tuple(ys), dev))
+    return RegularityVerdict(True, "sampled")
 
 
 def petersen() -> Graph:

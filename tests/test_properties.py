@@ -1,12 +1,23 @@
-"""Property tests of the exact kernel against brute-force oracles."""
+"""Property tests of the exact engines against brute-force oracles."""
+
+import math
+from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from kordered import Graph, find_hamiltonian_path, find_s_cycle, verify_s_cycle  # noqa: E402
-from oracles import ham_path_exists_naive, s_cycle_exists_naive  # noqa: E402
+from kordered import (  # noqa: E402
+    Graph,
+    decode_graph6,
+    encode_graph6,
+    find_hamiltonian_path,
+    find_s_cycle,
+    is_epsilon_regular,
+    verify_s_cycle,
+)
+from oracles import ham_path_exists_naive, regular_pair_naive, s_cycle_exists_naive  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -43,3 +54,58 @@ def test_path_kernel_matches_path_search(data):
         order = res.path.order
         assert order[0] == x and order[-1] == y and sorted(order) == list(range(g.n))
         assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+
+
+@st.composite
+def pairs(draw, max_side):
+    """A graph with two disjoint, interleaved vertex sets and an eps."""
+    na = draw(st.integers(1, max_side))
+    nb = draw(st.integers(1, max_side))
+    g = draw(graphs(min_n=na + nb, max_n=na + nb + 2))
+    order = draw(st.permutations(range(g.n)))
+    eps = Fraction(draw(st.integers(1, 19)), 20)
+    return g, sorted(order[:na]), sorted(order[na:na + nb]), eps
+
+
+def cross_density(g, xs, ys) -> Fraction:
+    return Fraction(sum(g.has_edge(x, y) for x in xs for y in ys), len(xs) * len(ys))
+
+
+@SETTINGS
+@given(pairs(max_side=5))
+def test_exact_regularity_matches_quantifier_enumeration(pair):
+    g, a, b, eps = pair
+    assert is_epsilon_regular(g, a, b, eps, mode="exact").regular == regular_pair_naive(
+        g, a, b, eps
+    )[0]
+
+
+@SETTINGS
+@given(pairs(max_side=9))
+def test_exact_irregular_witness_has_least_sizes_and_deviates(pair):
+    g, a, b, eps = pair
+    verdict = is_epsilon_regular(g, a, b, eps, mode="exact")
+    if verdict.regular:
+        assert verdict.witness is None
+        return
+    xs, ys, dev = verdict.witness
+    assert len(xs) == math.floor(eps * len(a)) + 1 and set(xs) <= set(a)
+    assert len(ys) == math.floor(eps * len(b)) + 1 and set(ys) <= set(b)
+    recomputed = abs(cross_density(g, xs, ys) - cross_density(g, a, b))
+    assert recomputed == dev and recomputed >= eps
+
+
+@SETTINGS
+@given(st.integers(0, 70), st.data())
+def test_graph6_roundtrip_and_networkx_codec_agree(n, data):
+    nx = pytest.importorskip("networkx")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if keep >> i & 1])
+    text = encode_graph6(g)
+    assert decode_graph6(text) == g
+    assert encode_graph6(decode_graph6(text)) == text
+    theirs = nx.from_graph6_bytes(text.encode())
+    assert theirs.number_of_nodes() == n
+    assert sorted(map(sorted, theirs.edges())) == sorted(map(list, g.edges()))
+    assert nx.to_graph6_bytes(theirs, header=False) == text.encode() + b"\n"

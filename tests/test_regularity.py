@@ -5,7 +5,11 @@ import pytest
 
 from kordered import Graph, GraphError, is_epsilon_regular, is_super_regular
 from kordered.regularity import as_fraction
-from oracles import regular_pair_naive
+from oracles import (
+    exact_regularity_all_sizes,
+    regular_pair_naive,
+    sampled_regularity_by_fractions,
+)
 
 
 def bipartite_random(rng, na, nb, p):
@@ -53,6 +57,54 @@ def test_exact_matches_enumeration_oracle():
             assert dev >= eps
             assert Fraction(len(xs)) > eps * na
             assert Fraction(len(ys)) > eps * nb
+
+
+def interleaved_pair(rng, na, nb, p):
+    """A random graph whose sides A and B interleave, with a few vertices
+    outside both and edges inside the sides too; only A-B edges count."""
+    n = na + nb + rng.randint(0, 2)
+    order = rng.sample(range(n), n)
+    g = Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+    return g, sorted(order[:na]), sorted(order[na:na + nb])
+
+
+def test_exact_same_verdicts_and_witnesses_as_the_all_sizes_scan():
+    rng = random.Random(64)
+    irregular = 0
+    for _ in range(1200):
+        na, nb = rng.randint(1, 10), rng.randint(1, 10)
+        g, a, b = interleaved_pair(rng, na, nb, rng.random())
+        eps = Fraction(rng.randint(1, 19), 20)
+        got = is_epsilon_regular(g, a, b, eps, mode="exact")
+        assert got == exact_regularity_all_sizes(g, a, b, eps), (g.adj, a, b, eps)
+        irregular += not got.regular
+    assert 200 <= irregular <= 1000
+
+
+def test_exact_same_verdicts_as_the_all_sizes_scan_at_side_12():
+    rng = random.Random(65)
+    g, a, b = bipartite_random(rng, 12, 12, 0.5)
+    for eps in ("0.45", "0.3"):
+        got = is_epsilon_regular(g, a, b, eps, mode="exact")
+        assert got == exact_regularity_all_sizes(g, a, b, as_fraction(eps))
+        assert got.regular == (eps == "0.45")
+
+
+def test_sampled_same_verdicts_and_witnesses_as_fraction_densities():
+    rng = random.Random(66)
+    irregular = 0
+    for seed in range(80):
+        # small sides make deviations of exactly eps common
+        top = 40 if seed % 2 else 6
+        na, nb = rng.randint(1, top), rng.randint(1, top)
+        g, a, b = interleaved_pair(rng, na, nb, rng.random())
+        eps = Fraction(rng.randint(1, 10), 20)
+        got = is_epsilon_regular(g, a, b, eps, mode="sampled", samples=300, seed=seed)
+        assert got == sampled_regularity_by_fractions(g, a, b, eps, 300, seed)
+        irregular += not got.regular
+    assert 10 <= irregular <= 70
 
 
 def test_monotone_in_epsilon_exact_mode():
