@@ -76,7 +76,6 @@ from .regularity import RegularityVerdict, is_epsilon_regular, is_super_regular
 from .experiments import (
     ExperimentReport,
     extremal_demo,
-    matching_bound_report,
     ore_condition,
     sharpness_sweep,
     threshold_scan,

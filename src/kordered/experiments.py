@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .core import Graph, GraphError
 from .extremal import ExtremalParams, solve_extremal_dense, solve_extremal_sparse
-from .matching import degree_ratio_check, erdos_posa_check
 from .generators import (
     ConstructionError,
     build_dense_bipartite_instance,
@@ -82,33 +81,6 @@ def ore_condition(g: Graph, k: int) -> bool:
             if not g.has_edge(u, v) and degs[u] + degs[v] < n + 2 * k - 6:
                 return False
     return True
-
-
-def matching_bound_report(n_values, trials: int, seed: int = 0) -> ExperimentReport:
-    """(nu, bound) rows for the two matching lower bounds on random graphs."""
-    n_values = list(n_values)
-    report = ExperimentReport(
-        "matching-bounds", {"n_values": n_values, "trials": trials}, seed=seed
-    )
-    jobs = [(n, t) for n in n_values for t in range(trials)]
-
-    def run(job):
-        n, t = job
-        g = random_graph_min_degree(n, max(1, n // 3), seed=seed * 4093 + 17 * n + t)
-        ep = erdos_posa_check(g)
-        dr = degree_ratio_check(g)
-        return {
-            "n": n,
-            "trial": t,
-            "nu": ep.nu,
-            "min_bound": str(ep.bound),
-            "ratio_bound": str(dr.bound),
-            "holds": ep.holds and dr.holds,
-        }
-
-    report.rows = [run(job) for job in jobs]
-    report.aggregates["violations"] = sum(1 for r in report.rows if not r["holds"])
-    return report.finalize()
 
 
 def sharpness_sweep(

@@ -11,13 +11,15 @@ once, by a mask and a shift of that int, so the interpreter works per
 vertex and round, not per subset.
 
 This one kernel is the only exact engine.  ``is_k_ordered`` runs it on
-the canonical sequences that no earlier cycle has realised, and
-``find_hamiltonian_path`` runs it anchored at one endpoint alone.  Its
-k stages of 2^(n-k)-bit ints cap the exact answers at
-``EXACT_SOLVER_LIMIT`` vertices; the kernel refuses larger graphs before
-it allocates.  ``enumerate_hamiltonian_cycles`` lists every Hamiltonian
-cycle and serves as a reference; no decision procedure here depends on
-it.
+the canonical sequences that no earlier cycle has realised; each cycle
+found strikes the canonical forms of all its k-subsets, which
+``realised_sequences`` reads off the cycle directly, with no per-subset
+canonicalisation.  ``find_hamiltonian_path`` runs the kernel anchored at
+one endpoint alone.  Its k stages of 2^(n-k)-bit ints cap the exact
+answers at ``EXACT_SOLVER_LIMIT`` vertices; the kernel refuses larger
+graphs before it allocates.  ``enumerate_hamiltonian_cycles`` lists
+every Hamiltonian cycle and serves as a reference; no decision procedure
+here depends on it.
 """
 
 from __future__ import annotations
@@ -322,6 +324,27 @@ def canonical_sequence(seq: Sequence[int]) -> tuple[int, ...]:
     return min(fwd, rev)
 
 
+def realised_sequences(order: Sequence[int], k: int) -> set[tuple[int, ...]]:
+    """The canonical k-sequences a cycle with vertex order ``order``
+    realises: ``canonical_sequence(t)`` for every t in
+    ``combinations(order, k)``, built without canonicalising each one.
+
+    A subset whose least vertex is m reads, around the cycle after m, as
+    m followed by a (k-1)-combination c of the vertices above m in that
+    cyclic order; its canonical form is (m,)+c when c[0] < c[-1] and
+    (m,)+c reversed otherwise.
+    """
+    ring = tuple(order)
+    out: set[tuple[int, ...]] = set()
+    for m in range(len(ring) - k + 1):
+        p = ring.index(m)
+        above = [v for v in ring[p + 1:] + ring[:p] if v > m]
+        head = (m,)
+        out.update([head + c if c[0] < c[-1] else head + c[::-1]
+                    for c in combinations(above, k - 1)])
+    return out
+
+
 def is_k_ordered(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
     """Decide whether every k-sequence of distinct vertices has a
     Hamiltonian S-cycle; on failure return a witness sequence.
@@ -331,8 +354,9 @@ def is_k_ordered(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
     sequences are walked in lexicographic order and each one not yet
     struck gets the exact DP of ``find_s_cycle``.  A cycle it returns
     strikes the canonical order it realises on every k-subset, so one DP
-    settles many sequences; a "none" ends the walk, and that sequence is
-    the lexicographically least failing canonical sequence, the witness.
+    settles many sequences (``realised_sequences`` reads those orders off
+    the cycle); a "none" ends the walk, and that sequence is the
+    lexicographically least failing canonical sequence, the witness.
 
     Raises NotHamiltonianError when g has no Hamiltonian cycle at all.
     """
@@ -345,12 +369,7 @@ def is_k_ordered(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
         # every Hamiltonian graph is 2- and 3-ordered
         return True, None
 
-    struck: set[tuple[int, ...]] = set()
-
-    def strike(cycle: HamCycle) -> None:
-        struck.update(canonical_sequence(t) for t in combinations(cycle.order, k))
-
-    strike(cycle)
+    struck = realised_sequences(cycle.order, k)
     # a canonical sequence is its least vertex a, then an ordering of k-1
     # larger vertices whose first entry is below its last: lexicographic order
     for a in range(g.n):
@@ -361,7 +380,7 @@ def is_k_ordered(g: Graph, k: int) -> tuple[bool, tuple[int, ...] | None]:
             cycle = find_s_cycle(g, s)
             if cycle is None:
                 return False, s
-            strike(cycle)
+            struck |= realised_sequences(cycle.order, k)
     return True, None
 
 

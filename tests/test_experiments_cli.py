@@ -116,16 +116,6 @@ def test_sweep_rows_follow_n_then_k():
     ]
 
 
-def test_matching_bound_rows_serialize():
-    from kordered import matching_bound_report
-
-    rep = matching_bound_report([6, 10, 14], trials=3, seed=2)
-    assert rep.aggregates["violations"] == 0
-    csv_text = rep.to_csv()
-    assert csv_text.splitlines()[0] == "n,trial,nu,min_bound,ratio_bound,holds"
-    assert len(csv_text.splitlines()) == 1 + 9
-
-
 def test_sweep_and_scan_reject_oversize_n():
     from kordered import ConstructionError
     import pytest as _pytest

@@ -20,6 +20,7 @@ from kordered import (
     posa_condition,
     verify_s_cycle,
 )
+from kordered.hamilton import realised_sequences
 from oracles import (
     first_failing_sequence_naive,
     ham_path_by_list_dp,
@@ -193,6 +194,18 @@ def test_sharpness_graph_not_k_ordered():
     assert find_s_cycle(sg.graph, witness) is None
 
 
+def test_realised_sequences_equal_canonical_subsets():
+    rng = random.Random(21)
+    for n in range(4, 13):
+        for k in range(2, n + 1):
+            for _ in range(4):
+                order = list(range(n))
+                rng.shuffle(order)
+                assert realised_sequences(order, k) == {
+                    canonical_sequence(t) for t in combinations(order, k)
+                }
+
+
 def test_matches_sequence_by_sequence_decision():
     # cross-check the covering engine against direct DP over every
     # canonical sequence
@@ -203,24 +216,15 @@ def test_matches_sequence_by_sequence_decision():
         if not is_hamiltonian(g):
             continue
         k = 4
-        expected = True
-        first_fail = None
-        for subset in combinations(range(n), k):
-            for rest in permutations(subset[1:]):
-                if rest[0] > rest[-1]:
-                    continue
-                seq = (subset[0],) + rest
-                if find_s_cycle(g, seq) is None:
-                    expected = False
-                    if first_fail is None:
-                        first_fail = seq
-                    break
-            if not expected:
-                break
+        failing = [
+            (subset[0],) + rest
+            for subset in combinations(range(n), k)
+            for rest in permutations(subset[1:])
+            if rest[0] < rest[-1] and find_s_cycle(g, (subset[0],) + rest) is None
+        ]
         got, witness = is_k_ordered(g, k)
-        assert got == expected
-        if not got:
-            assert find_s_cycle(g, witness) is None
+        assert got == (not failing)
+        assert witness == (min(failing) if failing else None)
 
 
 def test_cover_settles_sharpness_and_complete_graphs():

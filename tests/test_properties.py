@@ -10,14 +10,22 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from kordered import (  # noqa: E402
     Graph,
+    NotHamiltonianError,
     decode_graph6,
     encode_graph6,
     find_hamiltonian_path,
     find_s_cycle,
     is_epsilon_regular,
+    is_k_ordered,
+    ore_condition,
     verify_s_cycle,
 )
-from oracles import ham_path_exists_naive, regular_pair_naive, s_cycle_exists_naive  # noqa: E402
+from oracles import (  # noqa: E402
+    ham_path_exists_naive,
+    is_k_ordered_by_enumeration,
+    regular_pair_naive,
+    s_cycle_exists_naive,
+)
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -54,6 +62,42 @@ def test_path_kernel_matches_path_search(data):
         order = res.path.order
         assert order[0] == x and order[-1] == y and sorted(order) == list(range(g.n))
         assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+
+
+@st.composite
+def dense_graphs(draw, min_n=3, max_n=8):
+    """A complete graph with at most n edges taken out."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    gone = set(draw(st.lists(st.sampled_from(pairs), max_size=n)))
+    return Graph.from_edges(n, [e for e in pairs if e not in gone])
+
+
+@SETTINGS
+@given(st.data())
+def test_k_ordered_verdict_and_witness_match_cycle_enumeration(data):
+    # most of graphs() is not Hamiltonian, so dense graphs are drawn too
+    g = data.draw(st.one_of(graphs(min_n=4), dense_graphs(min_n=4)))
+    k = data.draw(st.integers(4, min(6, g.n)))
+    expected = is_k_ordered_by_enumeration(g, k)
+    if expected is None:
+        with pytest.raises(NotHamiltonianError):
+            is_k_ordered(g, k)
+    else:
+        assert is_k_ordered(g, k) == expected
+
+
+@SETTINGS
+@given(st.data())
+def test_ore_condition_implies_k_ordered(data):
+    # Ng and Schultz (J. Graph Theory 1997): deg(u) + deg(v) >= n + 2k - 6
+    # for every nonadjacent pair, with 3 <= k <= n, makes g k-ordered
+    # Hamiltonian.  The condition only weakens as k falls, and a k-ordered
+    # graph is (k-1)-ordered, so the largest k that meets it is checked.
+    g = data.draw(dense_graphs())
+    ks = [k for k in range(3, g.n + 1) if ore_condition(g, k)]
+    if ks:
+        assert is_k_ordered(g, max(ks))[0]
 
 
 @st.composite
