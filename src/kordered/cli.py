@@ -294,8 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # one parser per process: building it costs ~1 ms, and in-process
+    # callers run main many times; parsing leaves the parser unchanged
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ConstructionError, HypothesisViolation) as exc:

@@ -44,7 +44,11 @@ class Graph:
     """Undirected simple graph: ``n`` vertices, one bitset row per vertex.
 
     Invariants (checked on construction): adjacency is symmetric, there
-    are no loops, and every row fits in ``n`` bits.
+    are no loops, and every row fits in ``n`` bits.  The symmetry check
+    writes the whole matrix as n*n ASCII '0'/'1' bytes (row u at offset
+    u*n, bit v at u*n + v) and compares each column slice with its row
+    slice, so it costs n*n bytes and no per-edge Python work; only a
+    failing check walks the arcs, to name the first one-way arc.
     """
 
     n: int
@@ -55,26 +59,23 @@ class Graph:
             raise GraphError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise GraphError(f"expected {self.n} adjacency rows, got {len(self.adj)}")
-        full = (1 << self.n) - 1
+        n = self.n
+        full = (1 << n) - 1
         adj = self.adj
-        # Symmetry: every arc u->v with v > u must have its reverse.  Those
-        # reverses are distinct arcs below the diagonal, so when the upper
-        # arcs are half of all arcs they are every lower arc too.
-        arcs = upper = mirrored = 0
+        # Symmetry: lay the rows out as one n*n matrix of ASCII '0'/'1', row
+        # u at offset u*n with bit v at u*n + v.  The matrix is symmetric
+        # when every column slice equals its row slice.
+        flat = bytearray(n * n)
+        fmt = f"0{n}b"
         for u, row in enumerate(adj):
             if row & ~full:
-                raise GraphError(f"row {u} has bits outside 0..{self.n - 1}")
+                raise GraphError(f"row {u} has bits outside 0..{n - 1}")
             if row & (1 << u):
                 raise GraphError(f"loop at vertex {u}")
-            arcs += row.bit_count()
-            above = row >> (u + 1)
-            upper += above.bit_count()
-            while above:
-                b = above & -above
-                above ^= b
-                mirrored += adj[u + b.bit_length()] >> u & 1
-        if mirrored == upper and 2 * upper == arcs:
+            flat[u * n:(u + 1) * n] = format(row, fmt)[::-1].encode("ascii")
+        if all(flat[u::n] == flat[u * n:(u + 1) * n] for u in range(n)):
             return
+        # name the first one-way arc in row order
         for u, row in enumerate(adj):
             r = row
             while r:
@@ -214,20 +215,31 @@ def induced_subgraph(g: Graph, members) -> tuple[Graph, tuple[int, ...]]:
     """Restriction of g to a non-empty vertex set.
 
     Returns the induced graph plus the index map: position i of the map
-    holds the original label of new vertex i.
+    holds the original label of new vertex i.  Each new row is assembled
+    from shifted slices of the old row, one per maximal run of
+    consecutive members, so the cost grows with the number of runs
+    rather than the number of edges.
     """
     m = g._mask(members)
     if m == 0:
         raise GraphError("induced_subgraph requires a non-empty set")
-    old = bit_list(m)
-    new_index = {v: i for i, v in enumerate(old)}
+    # maximal runs of consecutive members: (lowest label, width mask, new
+    # index of the lowest label); a run moves down as one block
+    runs = []
+    old: list[int] = []
+    rest = m
+    while rest:
+        lo = (rest & -rest).bit_length() - 1
+        top = rest >> lo
+        width = (top ^ (top + 1)).bit_length() - 1
+        runs.append((lo, (1 << width) - 1, len(old)))
+        old.extend(range(lo, lo + width))
+        rest &= ~(((1 << width) - 1) << lo)
     rows = []
     for v in old:
-        row = 0
-        r = g.adj[v] & m
-        while r:
-            b = r & -r
-            r ^= b
-            row |= 1 << new_index[b.bit_length() - 1]
-        rows.append(row)
+        row = g.adj[v]
+        new = 0
+        for lo, run_mask, at in runs:
+            new |= (row >> lo & run_mask) << at
+        rows.append(new)
     return Graph(len(old), tuple(rows)), tuple(old)

@@ -232,19 +232,31 @@ def build_dense_bipartite_instance(
         _link(rows, free_a[2 * i], free_a[2 * i + 1])
 
     # raise every deficient vertex to the floor by pairing inside its side
-    # with the partner of least internal degree; degrees only grow, so one
-    # pass in index order visits the deficient vertices in turn
+    # with the partner of least internal degree, the lowest index among
+    # ties; degrees only grow, so one pass in index order visits the
+    # deficient vertices in turn.  bucket[d] is the mask of side vertices
+    # of internal degree d.
     for side in (a_mask, b_mask):
         internal = [(row & side).bit_count() for row in rows]
+        bucket: dict[int, int] = {}
+        for v in bits(side):
+            bucket[internal[v]] = bucket.get(internal[v], 0) | 1 << v
         for v in bits(side):
             while rows[v].bit_count() < floor_deg:
                 partners = side & ~rows[v] & ~(1 << v)
                 if not partners:
                     raise ConstructionError("cannot satisfy the degree floor")
-                u = min(bits(partners), key=internal.__getitem__)
+                for d in sorted(bucket):
+                    meet = bucket[d] & partners
+                    if meet:
+                        break
+                u = (meet & -meet).bit_length() - 1
                 _link(rows, u, v)
-                internal[u] += 1
-                internal[v] += 1
+                for w in (u, v):
+                    d = internal[w]
+                    internal[w] = d + 1
+                    bucket[d] ^= 1 << w
+                    bucket[d + 1] = bucket.get(d + 1, 0) | 1 << w
 
     return _cluster_instance(rows, na, {
         "kind": "dense",

@@ -2,8 +2,12 @@
 
 graph6 packs the upper triangle of the adjacency matrix in column order
 (0,1),(0,2),(1,2),(0,3),... into 6-bit groups, each printed as one byte
-in the range 63..126.  The optional ``>>graph6<<`` header is accepted on
-decode and never emitted.
+in the range 63..126.  That is base64 with another alphabet: the same
+big-endian sextets, so the codec converts whole bodies with ``base64``
+and ``bytes.translate``.  Encoding lays the columns out as one string of
+ASCII '0'/'1'; decoding writes them below the diagonal of an n*n such
+matrix and reads each row back from its row and column slices.  The
+optional ``>>graph6<<`` header is accepted on decode and never emitted.
 
 The secondary text format is one integer header line with the vertex
 count followed by one ``u v`` edge per line, 0-indexed.  Blank lines and
@@ -11,6 +15,8 @@ lines starting with ``#`` are ignored on parse.
 """
 
 from __future__ import annotations
+
+import base64
 
 from .core import Graph
 
@@ -26,6 +32,11 @@ class Graph6Error(ValueError):
 
 
 _HEADER = ">>graph6<<"
+# the graph6 body is base64 with the sextets printed as bytes 63..126
+_ALPHABET = bytes(range(63, 127))
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_FROM_BASE64 = bytes.maketrans(_BASE64, _ALPHABET)
+_TO_BASE64 = bytes.maketrans(_ALPHABET, _BASE64)
 
 
 def _encode_size(n: int) -> bytes:
@@ -66,21 +77,21 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 
 def encode_graph6(g: Graph) -> str:
     """Encode a graph as a canonical graph6 string (no header)."""
-    out = bytearray(_encode_size(g.n))
-    buf = 0
-    nbits = 0
-    for col in range(1, g.n):
-        col_bit = 1 << col
-        for row in range(col):
-            buf = (buf << 1) | (1 if g.adj[row] & col_bit else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(buf + 63)
-                buf = 0
-                nbits = 0
-    if nbits:
-        out.append((buf << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    n = g.n
+    nbits = n * (n - 1) // 2
+    if not nbits:
+        return _encode_size(n).decode("ascii")
+    # column c contributes bits 0..c-1 of row c, lowest first; pad to whole
+    # base64 quanta of 24 bits
+    padded = -(-nbits // 24) * 24
+    buf = bytearray(b"0") * padded
+    at = 0
+    for c in range(1, n):
+        buf[at:at + c] = format(g.adj[c] & ((1 << c) - 1), f"0{c}b")[::-1].encode("ascii")
+        at += c
+    body = base64.b64encode(int(buf, 2).to_bytes(padded // 8, "big"))
+    body = body[:(nbits + 5) // 6].translate(_FROM_BASE64)
+    return (_encode_size(n) + body).decode("ascii")
 
 
 def decode_graph6(text: str) -> Graph:
@@ -92,9 +103,9 @@ def decode_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error("non-ASCII byte in graph6 input") from exc
-    for i, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte!r} outside graph6 alphabet", i)
+    bad = data.translate(None, _ALPHABET)
+    if bad:
+        raise Graph6Error(f"byte {bad[0]!r} outside graph6 alphabet", data.index(bad[0]))
     n, consumed = _decode_size(data)
     body = data[consumed:]
     nbits = n * (n - 1) // 2
@@ -104,21 +115,35 @@ def decode_graph6(text: str) -> Graph:
             f"expected {needed} data bytes for n={n}, got {len(body)}",
             consumed + min(len(body), needed),
         )
-    rows = [0] * n
-    idx = 0
-    for col in range(1, n):
-        for row in range(col):
-            byte = body[idx // 6]
-            if (byte - 63) >> (5 - idx % 6) & 1:
-                rows[row] |= 1 << col
-                rows[col] |= 1 << row
-            idx += 1
     # trailing padding must be zero
     if nbits % 6:
         tail = (body[-1] - 63) & ((1 << (6 - nbits % 6)) - 1)
         if tail:
             raise Graph6Error("non-zero padding bits", consumed + len(body) - 1)
-    return Graph(n, tuple(rows))
+    return Graph(n, _decode_rows(n, body))
+
+
+def _decode_rows(n: int, body: bytes) -> tuple[int, ...]:
+    """Adjacency rows of a graph6 body that has passed every check.
+
+    The body's bits fill the lower triangle of an n*n matrix of ASCII
+    '0'/'1' (column c of the upper triangle is row c below the diagonal);
+    row r is then its row slice, bits below r, joined with its column
+    slice, bits above r.
+    """
+    if n < 2:
+        return (0,) * n
+    quanta = body.translate(_TO_BASE64) + b"A" * (-len(body) % 4)
+    raw = base64.b64decode(quanta)
+    bitstr = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b").encode("ascii")
+    flat = bytearray(b"0") * (n * n)
+    at = 0
+    for c in range(1, n):
+        flat[c * n:c * n + c] = bitstr[at:at + c]
+        at += c
+    return tuple(
+        int(flat[r * n:(r + 1) * n][::-1], 2) | int(flat[r::n][::-1], 2) for r in range(n)
+    )
 
 
 def format_edge_list(g: Graph) -> str:

@@ -9,7 +9,10 @@ enumeration.  Two exceptions keep a replaced implementation as a
 same-answer oracle: the list DP over all 2^n masks that the staged exact
 kernel replaced, for the very same cycles and paths, and the regularity
 checks with every subset size and Fraction densities, for the very same
-verdicts and witnesses.  Slow on purpose; only run at desk scale.
+verdicts and witnesses.  The per-bit graph6 codec, symmetry check and
+induced-subgraph remap are kept the same way, for the very same strings,
+messages and graphs, against the whole-row versions that replaced them.
+Slow on purpose; only run at desk scale.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from kordered import Graph, enumerate_hamiltonian_cycles
+from kordered.graph6 import _HEADER, Graph6Error, _decode_size, _encode_size
 from kordered.regularity import RegularityVerdict, _min_size, _pair_density
 
 
@@ -343,3 +347,94 @@ def random_graph(rng, n: int, p: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return Graph.from_edges(n, edges)
+
+
+def graph_error_per_arc(n: int, rows) -> str | None:
+    """The GraphError message Graph(n, rows) raises, found arc by arc.
+
+    Out-of-range bits and loops row by row first, then the first arc in
+    row order whose reverse is missing; None for a valid graph.
+    """
+    full = (1 << n) - 1
+    for u, row in enumerate(rows):
+        if row & ~full:
+            return f"row {u} has bits outside 0..{n - 1}"
+        if row & (1 << u):
+            return f"loop at vertex {u}"
+    for u, row in enumerate(rows):
+        for v in range(n):
+            if row >> v & 1 and not rows[v] >> u & 1:
+                return f"asymmetric edge {u}-{v}"
+    return None
+
+
+def induced_subgraph_per_bit(g: Graph, members: int) -> tuple[Graph, tuple[int, ...]]:
+    """induced_subgraph by remapping each edge bit through a label table."""
+    old = [v for v in range(g.n) if members >> v & 1]
+    new_index = {v: i for i, v in enumerate(old)}
+    rows = []
+    for v in old:
+        row = 0
+        r = g.adj[v] & members
+        while r:
+            b = r & -r
+            r ^= b
+            row |= 1 << new_index[b.bit_length() - 1]
+        rows.append(row)
+    return Graph(len(old), tuple(rows)), tuple(old)
+
+
+def encode_graph6_per_bit(g: Graph) -> str:
+    """graph6 encoding one matrix bit at a time, six bits per byte."""
+    out = bytearray(_encode_size(g.n))
+    buf = 0
+    nbits = 0
+    for col in range(1, g.n):
+        col_bit = 1 << col
+        for row in range(col):
+            buf = (buf << 1) | (1 if g.adj[row] & col_bit else 0)
+            nbits += 1
+            if nbits == 6:
+                out.append(buf + 63)
+                buf = 0
+                nbits = 0
+    if nbits:
+        out.append((buf << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+def decode_graph6_per_bit(text: str) -> Graph:
+    """graph6 decoding byte by byte and bit by bit, with the same errors."""
+    s = text.strip()
+    if s.startswith(_HEADER):
+        s = s[len(_HEADER):]
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("non-ASCII byte in graph6 input") from exc
+    for i, byte in enumerate(data):
+        if not 63 <= byte <= 126:
+            raise Graph6Error(f"byte {byte!r} outside graph6 alphabet", i)
+    n, consumed = _decode_size(data)
+    body = data[consumed:]
+    nbits = n * (n - 1) // 2
+    needed = (nbits + 5) // 6
+    if len(body) != needed:
+        raise Graph6Error(
+            f"expected {needed} data bytes for n={n}, got {len(body)}",
+            consumed + min(len(body), needed),
+        )
+    rows = [0] * n
+    idx = 0
+    for col in range(1, n):
+        for row in range(col):
+            byte = body[idx // 6]
+            if (byte - 63) >> (5 - idx % 6) & 1:
+                rows[row] |= 1 << col
+                rows[col] |= 1 << row
+            idx += 1
+    if nbits % 6:
+        tail = (body[-1] - 63) & ((1 << (6 - nbits % 6)) - 1)
+        if tail:
+            raise Graph6Error("non-zero padding bits", consumed + len(body) - 1)
+    return Graph(n, tuple(rows))

@@ -12,7 +12,12 @@ from kordered import (
     edges_between,
     induced_subgraph,
 )
-from oracles import naive_edges_between, random_graph
+from oracles import (
+    graph_error_per_arc,
+    induced_subgraph_per_bit,
+    naive_edges_between,
+    random_graph,
+)
 
 
 def test_degree_profile_complete():
@@ -123,6 +128,35 @@ def test_induced_subgraph_identity():
 def test_induced_subgraph_empty_raises():
     with pytest.raises(GraphError):
         induced_subgraph(Graph.complete(3), [])
+
+
+def test_induced_subgraph_matches_per_bit_remap():
+    rng = random.Random(404)
+    for i in range(150):
+        n = rng.randint(1, 90)
+        g = random_graph(rng, n, rng.random())
+        if i % 3 == 0:  # any subset
+            members = rng.getrandbits(n) or 1 << rng.randrange(n)
+        elif i % 3 == 1:  # one run
+            lo = rng.randrange(n)
+            members = ((1 << rng.randint(1, n - lo)) - 1) << lo
+        else:  # every other vertex: one run per member
+            members = sum(1 << v for v in range(rng.randrange(min(2, n)), n, 2))
+        assert induced_subgraph(g, members) == induced_subgraph_per_bit(g, members)
+
+
+def test_symmetry_check_matches_per_arc_oracle():
+    rng = random.Random(505)
+    for n in [*range(2, 71), 300]:
+        g = random_graph(rng, n, rng.choice((0.1, 0.5, 0.9)))
+        assert graph_error_per_arc(n, g.adj) is None
+        assert Graph(n, g.adj) == g
+        rows = list(g.adj)
+        u, v = rng.randrange(n), rng.randrange(n)
+        rows[u] ^= 1 << v  # u == v makes a loop
+        with pytest.raises(GraphError) as err:
+            Graph(n, tuple(rows))
+        assert str(err.value) == graph_error_per_arc(n, rows)
 
 
 def test_constructor_rejects_loops_and_asymmetry():

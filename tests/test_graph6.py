@@ -10,7 +10,7 @@ from kordered import (
     format_edge_list,
     parse_edge_list,
 )
-from oracles import random_graph
+from oracles import decode_graph6_per_bit, encode_graph6_per_bit, random_graph
 
 
 def test_k5_is_the_published_string():
@@ -69,6 +69,52 @@ def test_nonzero_padding_rejected():
 def test_empty_input():
     with pytest.raises(Graph6Error):
         decode_graph6("")
+
+
+def test_codec_matches_per_bit_oracle():
+    rng = random.Random(21)
+    for n in (0, 1, 2, 62, 63, 64, 65, 127, 200, 800):
+        for g in (Graph.empty(n), Graph.complete(n), random_graph(rng, n, 0.5)):
+            text = encode_graph6(g)
+            assert text == encode_graph6_per_bit(g)
+            assert decode_graph6(text) == g == decode_graph6_per_bit(text)
+
+
+def _same_error(text: str, message: str, offset: int | None) -> None:
+    for decode in (decode_graph6, decode_graph6_per_bit):
+        with pytest.raises(Graph6Error) as err:
+            decode(text)
+        assert (str(err.value), err.value.offset) == (message, offset)
+
+
+def test_bad_byte_deep_in_a_large_body():
+    text = encode_graph6(random_graph(random.Random(22), 800, 0.5))
+    _same_error(text[:40_000] + "\x1f" + text[40_001:],
+                "byte 31 outside graph6 alphabet (byte offset 40000)", 40_000)
+    _same_error(text[:40_000] + "\xe9" + text[40_001:], "non-ASCII byte in graph6 input", None)
+
+
+def test_truncated_medium_header_body():
+    text = encode_graph6(Graph.complete(200))  # 4 header bytes, 3317 body bytes
+    _same_error(text[:1000], "expected 3317 data bytes for n=200, got 996 (byte offset 1000)",
+                1000)
+    _same_error(text[:4], "expected 3317 data bytes for n=200, got 0 (byte offset 4)", 4)
+
+
+def test_nonzero_padding_rejected_at_every_padding_width():
+    residues = set()
+    for n in range(2, 40):
+        nbits = n * (n - 1) // 2
+        if not nbits % 6:
+            continue
+        residues.add(nbits % 6)
+        text = encode_graph6(Graph.complete(n))
+        last = ord(text[-1]) - 63
+        for bit in range(6 - nbits % 6):
+            _same_error(text[:-1] + chr((last | 1 << bit) + 63),
+                        f"non-zero padding bits (byte offset {len(text) - 1})", len(text) - 1)
+    # n(n-1)/2 is never 2 mod 3, so bodies with 2 or 5 spare bits do not exist
+    assert residues == {1, 3, 4}
 
 
 def test_edge_list_roundtrip():

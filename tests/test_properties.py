@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from kordered import (  # noqa: E402
     Graph,
     NotHamiltonianError,
+    bipartite_matching_and_cover,
     decode_graph6,
     encode_graph6,
     find_hamiltonian_path,
     find_s_cycle,
     is_epsilon_regular,
     is_k_ordered,
+    maximum_matching,
     ore_condition,
     verify_s_cycle,
 )
@@ -153,3 +155,34 @@ def test_graph6_roundtrip_and_networkx_codec_agree(n, data):
     assert theirs.number_of_nodes() == n
     assert sorted(map(sorted, theirs.edges())) == sorted(map(list, g.edges()))
     assert nx.to_graph6_bytes(theirs, header=False) == text.encode() + b"\n"
+
+
+def _nx_graph(nx, n, edges):
+    theirs = nx.Graph()
+    theirs.add_nodes_from(range(n))
+    theirs.add_edges_from(edges)
+    return theirs
+
+
+@SETTINGS
+@given(graphs(min_n=0, max_n=12))
+def test_maximum_matching_size_matches_networkx(g):
+    nx = pytest.importorskip("networkx")
+    ours = maximum_matching(g)
+    assert ours.is_valid_for(g)
+    theirs = nx.max_weight_matching(_nx_graph(nx, g.n, g.edges()), maxcardinality=True)
+    assert len(ours) == len(theirs)
+
+
+@SETTINGS
+@given(st.data())
+def test_konig_cover_has_the_matching_size(data):
+    nx = pytest.importorskip("networkx")
+    g = data.draw(graphs(min_n=2, max_n=12))
+    split = data.draw(st.integers(1, g.n - 1))
+    a, b = range(split), range(split, g.n)
+    matching, cover = bipartite_matching_and_cover(g, a, b)
+    cross = [(u, v) for u, v in g.edges() if u < split <= v]
+    theirs = nx.max_weight_matching(_nx_graph(nx, g.n, cross), maxcardinality=True)
+    assert len(matching) == len(cover) == len(theirs)
+    assert all(u in cover or v in cover for u, v in cross)
