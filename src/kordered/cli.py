@@ -72,6 +72,8 @@ def _parse_range(text: str) -> list[int]:
     """Accept '8-16' or a comma/space separated list."""
     if "-" in text and "," not in text:
         lo, hi = _ints(text.split("-", 1), text)
+        if lo > hi:
+            raise UsageError(f"range {text!r} runs backwards")
         return list(range(lo, hi + 1))
     return _parse_ints(text)
 

@@ -151,10 +151,6 @@ class Graph:
                 yield (u, base + b.bit_length() - 1)
                 row ^= b
 
-    def deg_into(self, v: int, members) -> int:
-        """Number of neighbours of v inside the given vertex set."""
-        return (self.adj[v] & self._mask(members)).bit_count()
-
     def without_edges(self, pairs: Iterable[tuple[int, int]]) -> "Graph":
         """New graph with the listed edges removed (absent edges ignored)."""
         rows = list(self.adj)

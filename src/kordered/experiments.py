@@ -219,16 +219,17 @@ def extremal_demo(
     seed: int = 0,
     trials: int = 1,
     *,
-    params: ExtremalParams | None = None,
     timing: bool = False,
 ) -> ExperimentReport:
     """Generate extremal instances, draw a random valid sequence, run the
     matching solver and report certificate status plus the stage trace."""
     if kind not in ("sparse", "dense"):
         raise GraphError("kind must be 'sparse' or 'dense'")
+    if k > n:
+        raise ConstructionError(f"cannot draw k={k} distinct vertices from n={n}")
     # at desk scale k/n is not negligible, so the cut needs a wider alpha
-    # than the asymptotic default ladder
-    p = params or ExtremalParams(alpha=Fraction(3, 10))
+    # than the asymptotic default
+    p = ExtremalParams(alpha=Fraction(3, 10))
     report = ExperimentReport(
         "extremal", {"instance": kind, "n": n, "k": k, "trials": trials}, seed=seed
     )

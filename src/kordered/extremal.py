@@ -23,7 +23,7 @@ from .core import (
     bit_list,
     bits,
     degree_profile,
-    edges_between,
+    density,
     induced_subgraph,
     mask_of,
 )
@@ -69,35 +69,23 @@ class RoutingError(StageError):
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """The strict parameter ladder 0 < kappa < epsilon < d < beta < alpha < 1.
+    """The two constants the extremal layer reads, 0 < beta < alpha < 1.
 
+    beta bounds the classifier's pair density and overlap bands; alpha
+    bounds the solvers' cut density, cluster sizes and exceptional degrees.
     The defaults are chosen so that instances with a few dozen to a few
-    hundred vertices clear every threshold test; any strict ladder works.
+    hundred vertices clear every threshold test.
     """
 
-    kappa: Fraction = Fraction(1, 10000)
-    epsilon: Fraction = Fraction(5, 10000)
-    d: Fraction = Fraction(2, 1000)
     beta: Fraction = Fraction(1, 100)
     alpha: Fraction = Fraction(1, 10)
 
     def __post_init__(self) -> None:
-        ladder = [
-            Fraction(0),
-            as_fraction(self.kappa),
-            as_fraction(self.epsilon),
-            as_fraction(self.d),
-            as_fraction(self.beta),
-            as_fraction(self.alpha),
-            Fraction(1),
-        ]
-        object.__setattr__(self, "kappa", ladder[1])
-        object.__setattr__(self, "epsilon", ladder[2])
-        object.__setattr__(self, "d", ladder[3])
-        object.__setattr__(self, "beta", ladder[4])
-        object.__setattr__(self, "alpha", ladder[5])
-        if any(x >= y for x, y in zip(ladder, ladder[1:])):
-            raise GraphError("parameters must satisfy 0 < kappa < epsilon < d < beta < alpha < 1")
+        beta, alpha = as_fraction(self.beta), as_fraction(self.alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "alpha", alpha)
+        if not 0 < beta < alpha < 1:
+            raise GraphError("parameters must satisfy 0 < beta < alpha < 1")
 
 
 def _ge_root(value, coef: Fraction, base, power: int) -> bool:
@@ -120,10 +108,6 @@ class ClusterPair:
     exc_b: tuple[int, ...]
     leftovers: tuple[int, ...]
     low_degree: tuple[int, ...]
-
-    @property
-    def low_degree_count(self) -> int:
-        return len(self.low_degree)
 
 
 def _cleanup(g: Graph, a, b, params: ExtremalParams, dense: bool) -> ClusterPair:
@@ -314,7 +298,6 @@ def connect_pairs(
     within=None,
     cross=None,
     max_len: int = 4,
-    budget: int | None = None,
     avoid=(),
 ) -> PathSystem:
     """Greedy internally disjoint routing of endpoint pairs.
@@ -328,8 +311,6 @@ def connect_pairs(
     if (within is None) == (cross is None):
         raise GraphError("specify exactly one of within / cross")
     pairs = [tuple(p) for p in pairs]
-    if budget is not None and len(pairs) > budget:
-        raise RoutingError(None, f"{len(pairs)} pairs exceed the budget {budget}")
     if within is not None:
         allowed = g._mask(within)
 
@@ -376,6 +357,9 @@ class ExtremalSolution:
 
 
 def _route_or_fail(g, side_mask, u, w, blocked):
+    if u == w:
+        return [u]
+
     def adj_of(v: int) -> int:
         return g.adj[v] & side_mask
 
@@ -401,7 +385,7 @@ def _check_common_hypotheses(g, am, bm, s, alpha: Fraction, stage: str, dense: b
         raise HypothesisViolation(
             stage, f"minimum degree below the threshold {min_degree_threshold(n, k)}"
         )
-    dens = Fraction(edges_between(g, am, bm), ca * cb)
+    dens = density(g, am, bm)
     if dense:
         if dens <= 1 - alpha:
             raise HypothesisViolation(stage, f"cross density {dens} not above 1-alpha")
@@ -422,7 +406,7 @@ def _prepare(g: Graph, a, b, seq, params: ExtremalParams | None, kind: str):
     cleanup = {
         "exceptional": len(cp.exc_a) + len(cp.exc_b),
         "leftovers": len(cp.leftovers),
-        "low_degree": cp.low_degree_count,
+        "low_degree": len(cp.low_degree),
     }
     trace: dict = {"kind": kind, "n": g.n, "k": len(s), "cleanup": cleanup}
     return p, s, cp, trace
@@ -522,32 +506,30 @@ def solve_extremal_sparse(
         if xm == ym:
             seg = _route_or_fail(g, xm, vi, vn, blocked)
         else:
+            # cross over bridge u0-w0: vi's own, else vn's own, else a
+            # free one with both ends unused
             w = partner.get(vi)
             w2 = partner.get(vn)
             if w is not None and not used & (1 << w):
-                del partner[vi], partner[w]
-                seg = [vi] + _route_or_fail(g, ym, w, vn, blocked)
+                u0, w0 = vi, w
             elif w2 is not None and not used & (1 << w2):
-                del partner[vn], partner[w2]
-                seg = _route_or_fail(g, xm, vi, w2, blocked) + [vn]
+                u0, w0 = w2, vn
             else:
-                pick = None
                 for e in free_edges:
                     u0 = e[0] if xm & (1 << e[0]) else e[1]
                     w0 = e[1] if u0 == e[0] else e[0]
                     if not used & ((1 << u0) | (1 << w0)):
-                        pick = (u0, w0)
                         break
-                if pick is None:
+                else:
                     raise StageError(
                         "assembly",
                         "no free bridge for a side switch",
                         {"built": len(cyc), "remaining": k - idx},
                     )
-                u0, w0 = pick
-                del partner[u0], partner[w0]
-                head = _route_or_fail(g, xm, vi, u0, blocked)
-                seg = head + _route_or_fail(g, ym, w0, vn, blocked)
+            del partner[u0], partner[w0]
+            seg = _route_or_fail(g, xm, vi, u0, blocked) + _route_or_fail(
+                g, ym, w0, vn, blocked
+            )
         path_lengths.append(len(seg) - 1)
         add = seg[1:-1] if closing else seg[1:]
         for v in add:
@@ -696,7 +678,6 @@ def solve_extremal_dense(
         pairs,
         cross=(bit_list(amask), bit_list(bmask)),
         max_len=5,
-        budget=r + len(s) - 1,
         avoid=sorted(keep_out),
     )
     trace["path_lengths"] = [len(p_) - 1 for p_ in system.paths]
@@ -729,20 +710,18 @@ def solve_extremal_dense(
         g.adj[v] & (bmask if amask & (1 << v) else amask) for v in range(g.n)
     )
     g_cross = Graph(g.n, cross_rows)
-    sub, idx_map = induced_subgraph(g_cross, remainder)
-    back = {orig: j for j, orig in enumerate(idx_map)}
-    sub_a = [back[v] for v in bit_list(remainder & amask)]
-    sub_b = [back[v] for v in bit_list(remainder & bmask)]
-    if len(sub_a) >= 2:
-        trace["bipartite_posa"] = bipartite_posa_condition(sub, sub_a, sub_b)
+    if ra >= 2:
+        trace["bipartite_posa"] = bipartite_posa_condition(
+            g_cross, remainder & amask, remainder & bmask
+        )
     if remainder == (1 << path[0]) | (1 << path[-1]):
         if not g.has_edge(path[0], path[-1]):
             raise StageError("closing", "degenerate remainder without a closing edge", {})
         cyc = path
     else:
         for attempt in range(10):
-            res = find_hamiltonian_path(sub, back[path[-1]], back[path[0]], seed=seed + attempt)
-            if res.path is not None:
+            closing = _path_through(g_cross, remainder, path[-1], path[0], seed + attempt)
+            if closing is not None:
                 break
         else:
             raise StageError(
@@ -750,7 +729,7 @@ def solve_extremal_dense(
                 "no bipartite Hamiltonian path over the remainder",
                 {"remainder": remainder.bit_count()},
             )
-        cyc = path + [idx_map[v] for v in res.path.order[1:-1]]
+        cyc = path + closing[1:-1]
 
     return _certified(g, s, cyc, trace)
 

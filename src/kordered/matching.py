@@ -34,21 +34,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    @property
-    def covered(self) -> int:
-        m = 0
-        for u, v in self.edges:
-            m |= (1 << u) | (1 << v)
-        return m
-
-    def partner(self, v: int) -> int | None:
-        for a, b in self.edges:
-            if a == v:
-                return b
-            if b == v:
-                return a
-        return None
-
     def is_valid_for(self, g: Graph) -> bool:
         return self.n == g.n and all(g.has_edge(u, v) for u, v in self.edges)
 

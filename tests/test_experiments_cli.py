@@ -194,6 +194,7 @@ def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
     for argv in (
         ["scan", "--n", "8", "--k", "4", "--offsets=x"],
         ["sharpness", "--n", "8-x"],
+        ["sharpness", "--n", "16-8"],
         ["scycle", str(p), "--seq", "0,a"],
         ["ordered", str(bad_edges), "--k", "2"],
         ["regular", str(p), "--a", "0,2,4", "--b", "1,3,5", "--eps", "abc"],
@@ -249,10 +250,15 @@ def test_cli_regular(tmp_path, capsys):
 
 
 def test_cli_gen_infeasible_exit_code(capsys):
-    rc = main(["gen", "--kind", "sparse", "--n", "60", "--k", "4",
-               "--cut-degree", "1"])
-    capsys.readouterr()
-    assert rc == 3
+    for argv in (
+        ["gen", "--kind", "sparse", "--n", "60", "--k", "4", "--cut-degree", "1"],
+        # k = n + 1 passes the sparse generator at even n, so the demo must
+        # refuse it before drawing k of n vertices
+        ["extremal", "--kind", "sparse", "--n", "60", "--k", "61"],
+    ):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.count("\n") == 1, err
 
 
 def test_cli_edge_list_input(tmp_path, capsys):
