@@ -78,6 +78,14 @@ def _parse_range(text: str) -> list[int]:
     return _parse_ints(text)
 
 
+def _count(value: int, flag: str) -> int:
+    """A count flag's value; below 1 it would run nothing and report that
+    nothing failed."""
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+    return value
+
+
 def cmd_sharpness(args) -> int:
     ks = _parse_range(args.k) if args.k else None
     report = experiments.sharpness_sweep(_parse_range(args.n), ks, timing=args.timing)
@@ -89,7 +97,7 @@ def cmd_scan(args) -> int:
     report = experiments.threshold_scan(
         args.n,
         args.k,
-        args.trials,
+        _count(args.trials, "--trials"),
         seed=args.seed,
         offsets=tuple(_ints(args.offsets.split(","), args.offsets)),
         timing=args.timing,
@@ -133,7 +141,7 @@ def cmd_extremal(args) -> int:
         args.n,
         args.k,
         seed=args.seed,
-        trials=args.trials,
+        trials=_count(args.trials, "--trials"),
         timing=args.timing,
     )
     _emit_report(report, args.format, sys.stdout)
@@ -142,6 +150,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_regular(args) -> int:
+    _count(args.samples, "--samples")
     g = _read_graph(args.graph)
     a = _parse_ints(args.a)
     b = _parse_ints(args.b)
@@ -307,6 +316,11 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            # no flag takes a list, but argparse before Python 3.12 parses
+            # "--flag=--" as an empty one
+            if isinstance(value, list):
+                raise UsageError(f"--{name.replace('_', '-')} needs a value")
         return args.func(args)
     except (ConstructionError, HypothesisViolation) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

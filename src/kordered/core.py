@@ -163,7 +163,11 @@ class Graph:
         if isinstance(members, int):
             m = members
         else:
-            m = mask_of(members)
+            members = tuple(members)
+            # checked before packing: 1 << v fails for v < 0, and a huge v
+            # would allocate its bit
+            in_range = all(0 <= v < self.n for v in members)
+            m = mask_of(members) if in_range else -1
         if m & ~self.vertex_mask:
             raise GraphError("vertex set has members outside 0..n-1")
         return m

@@ -225,6 +225,8 @@ def extremal_demo(
     matching solver and report certificate status plus the stage trace."""
     if kind not in ("sparse", "dense"):
         raise GraphError("kind must be 'sparse' or 'dense'")
+    if k < 2:
+        raise GraphError(f"k={k}: an ordered sequence needs at least 2 vertices")
     if k > n:
         raise ConstructionError(f"cannot draw k={k} distinct vertices from n={n}")
     # at desk scale k/n is not negligible, so the cut needs a wider alpha

@@ -15,7 +15,9 @@ the canonical sequences that no earlier cycle has realised; each cycle
 found strikes the canonical forms of all its k-subsets, which
 ``realised_sequences`` reads off the cycle directly, with no per-subset
 canonicalisation.  ``find_hamiltonian_path`` runs the kernel anchored at
-one endpoint alone.  Its k stages of 2^(n-k)-bit ints cap the exact
+one endpoint, with the other left out of the free set and appended after
+the walk back, so it places n-2 vertices like a k=2 cycle search.  The
+kernel's k stages of 2^m-bit ints, m the free vertices, cap the exact
 answers at ``EXACT_SOLVER_LIMIT`` vertices; the kernel refuses larger
 graphs before it allocates.  ``enumerate_hamiltonian_cycles`` lists
 every Hamiltonian cycle and serves as a reference; no decision procedure
@@ -32,7 +34,8 @@ from typing import Iterator, Sequence
 from .core import Graph, GraphError, bit_list, bits
 
 
-# the worst case, k=1 on K24, takes ~2.5 s and ~145 MB (2 vCPU, Python 3.11)
+# the worst cases, a Hamiltonian cycle or path in K24 (22 free vertices),
+# take ~0.6-0.85 s and ~77 MB (2 vCPU, Python 3.11)
 EXACT_SOLVER_LIMIT = 24
 
 
@@ -117,30 +120,32 @@ def _lacking_masks(m: int) -> list[int]:
 
 
 def _staged_reach(
-    adj: Sequence[int], n: int, seq: Sequence[int]
+    adj: Sequence[int], n: int, seq: Sequence[int], skip: int = 0
 ) -> tuple[list[list[int]], dict[int, int]]:
-    """Reachable states of paths from seq[0] that enter the anchors in order.
+    """Reachable states of paths from seq[0] that enter the anchors in order
+    and never visit a vertex of the mask ``skip``.
 
     Stage t means anchors seq[0..t] are visited and seq[t] was the last one
     entered.  ``reach[t][v]`` is one int over the 2^m subsets F of the m
-    free (non-anchor) vertices, numbered by ``slot``: bit F is set when a
-    path visits seq[0..t] plus exactly F and ends at v.  Anchors never
-    enter F.  A free move to w ORs the ints of w's neighbours, keeps the
-    subsets that lack w and shifts them by 2^slot[w]; a stage is closed by
-    frontier rounds that OR only the bits new in the last round.  Entering
-    seq[t+1] ORs its neighbours' ints into stage t+1 once stage t is
-    closed.  Stages stop early, fewer than k, once one is empty.
+    free vertices (neither anchors nor skipped), numbered by ``slot``: bit
+    F is set when a path visits seq[0..t] plus exactly F and ends at v.
+    Anchors never enter F.  A free move to w ORs the ints of w's
+    neighbours, keeps the subsets that lack w and shifts them by
+    2^slot[w]; a stage is closed by frontier rounds that OR only the bits
+    new in the last round.  Entering seq[t+1] ORs its neighbours' ints
+    into stage t+1 once stage t is closed.  Stages stop early, fewer than
+    k, once one is empty.
 
-    Memory: the stages hold about k*(n-k+1)*2^(n-k) bits, the free moves
-    one 2^(n-k)-bit mask per free vertex, and a round's new bits at most
-    as much again.  Refuses n above EXACT_SOLVER_LIMIT before anything is
+    Memory: the stages hold about k*(m+1)*2^m bits, the free moves one
+    2^m-bit mask per free vertex, and a round's new bits at most as much
+    again.  Refuses n above EXACT_SOLVER_LIMIT before anything is
     allocated.
     """
     if n > EXACT_SOLVER_LIMIT:
         raise GraphError(
             f"n={n} exceeds EXACT_SOLVER_LIMIT={EXACT_SOLVER_LIMIT} of the exact subset DP"
         )
-    amask = 0
+    amask = skip
     for v in seq:
         amask |= 1 << v
     free = [v for v in range(n) if not amask >> v & 1]
@@ -186,16 +191,18 @@ def _staged_reach(
 
 
 def _anchored_path(
-    adj: Sequence[int], n: int, seq: Sequence[int], ends: int
+    adj: Sequence[int], n: int, seq: Sequence[int], ends: int, skip: int = 0
 ) -> list[int] | None:
-    """A path from seq[0] through all n vertices that enters the anchors
-    in order and stops on a vertex of ``ends``, or None (exhaustive).
+    """A path from seq[0] through every vertex outside the mask ``skip``
+    that enters the anchors in order and stops on a vertex of ``ends``, or
+    None (exhaustive).
 
     The last vertex is the lowest-index one in ``ends`` the kernel reaches
-    with every vertex visited, and each step back takes the lowest-index
-    predecessor, so the answer is a function of the graph and seq alone.
+    with every such vertex visited, and each step back takes the
+    lowest-index predecessor, so the answer is a function of the graph,
+    seq and skip alone.
     """
-    stages, slot = _staged_reach(adj, n, seq)
+    stages, slot = _staged_reach(adj, n, seq, skip)
     if len(stages) < len(seq):
         return None
     t = len(stages) - 1
@@ -422,11 +429,29 @@ def bipartite_posa_condition(g: Graph, a, b) -> bool:
 # -- Hamiltonian path between fixed endpoints --------------------------
 
 
+def _nth_bit(mask: int, r: int) -> int:
+    """Position of the r-th lowest set bit of mask, counting from 0: the
+    same as ``bit_list(mask)[r]``, found by binary search on bit counts
+    instead of listing the bits.  Needs 0 <= r < mask.bit_count()."""
+    # fewer than r+1 set bits lie below lo, and more than r below hi
+    lo, hi = 0, mask.bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) >> 1
+        if (mask & ((1 << mid) - 1)).bit_count() > r:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def _rotation_attempt(
     g: Graph, allowed: int, x: int, targets: int, rng: random.Random, step_cap: int
 ) -> list[int] | None:
     """Grow a path from x inside ``allowed`` ending on a target vertex,
-    using greedy extension plus end rotations."""
+    using greedy extension plus end rotations.
+
+    Each extension and each pivot is the r-th lowest candidate for
+    r = rng.randrange(candidates), so a seed fixes the path."""
     adj = g.adj
     path = [x]
     in_path = 1 << x
@@ -436,8 +461,7 @@ def _rotation_attempt(
         end = path[-1]
         ext = adj[end] & allowed & ~in_path
         if ext:
-            choices = bit_list(ext)
-            v = choices[rng.randrange(len(choices))]
+            v = _nth_bit(ext, rng.randrange(ext.bit_count()))
             pos[v] = len(path)
             path.append(v)
             in_path |= 1 << v
@@ -447,15 +471,14 @@ def _rotation_attempt(
             continue
         if in_path == allowed and (1 << end) & targets:
             return path
-        # rotate: pick a neighbour of the endpoint inside the path
+        # rotate: pick a neighbour of the endpoint inside the path, other
+        # than its predecessor (that rotation would change nothing)
         pivots = adj[end] & in_path
         if len(path) >= 2:
             pivots &= ~(1 << path[-2])
-        choices = [v for v in bit_list(pivots) if pos[v] + 1 < len(path) - 1]
-        if not choices:
+        if not pivots:
             return None
-        piv = choices[rng.randrange(len(choices))]
-        i = pos[piv]
+        i = pos[_nth_bit(pivots, rng.randrange(pivots.bit_count()))]
         path[i + 1:] = reversed(path[i + 1:])
         for j in range(i + 1, len(path)):
             pos[path[j]] = j
@@ -476,9 +499,12 @@ def find_hamiltonian_path(
     """Hamiltonian path from x to y.
 
     Stage one is rotation-extension with ``restarts`` seeded random
-    starts; stage two, for n <= EXACT_SOLVER_LIMIT, is the exhaustive
-    kernel anchored at x alone, making a "none" answer authoritative.
-    Beyond the limit a miss is inconclusive and flagged as such.
+    starts; each step takes the r-th lowest candidate bit for a seeded
+    r, so a seed fixes the path.  Stage two, for n <= EXACT_SOLVER_LIMIT,
+    is the exhaustive kernel anchored at x over the n-2 vertices other
+    than x and y, ending on a neighbour of y, making a "none" answer
+    authoritative.  Beyond the limit a miss is inconclusive and flagged
+    as such.
     """
     if x == y:
         raise GraphError("endpoints must differ")
@@ -503,9 +529,11 @@ def find_hamiltonian_path(
                 assert _is_valid_path(g, path, x, y)
                 return PathSearchResult(path, "rotation", True)
     if n <= EXACT_SOLVER_LIMIT:
-        order = _anchored_path(g.adj, n, (x,), 1 << y)
+        # y is the fixed last vertex: the DP leaves it out, ends on a
+        # neighbour of it, and y is appended
+        order = _anchored_path(g.adj, n, (x,), g.adj[y], skip=1 << y)
         if order is not None:
-            return PathSearchResult(HamPath(tuple(order)), "exact", True)
+            return PathSearchResult(HamPath(tuple(order) + (y,)), "exact", True)
         return PathSearchResult(None, "none", True)
     return PathSearchResult(None, "none", False)
 

@@ -11,7 +11,9 @@ kernel replaced, for the very same cycles and paths, and the regularity
 checks with every subset size and Fraction densities, for the very same
 verdicts and witnesses.  The per-bit graph6 codec, symmetry check and
 induced-subgraph remap are kept the same way, for the very same strings,
-messages and graphs, against the whole-row versions that replaced them.
+messages and graphs, against the whole-row versions that replaced them,
+and so is the rotation-extension step that lists its candidates, for the
+very same paths.
 Slow on purpose; only run at desk scale.
 """
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from kordered import Graph, enumerate_hamiltonian_cycles
+from kordered import Graph, bit_list, enumerate_hamiltonian_cycles
 from kordered.graph6 import _HEADER, Graph6Error, _decode_size, _encode_size
 from kordered.regularity import RegularityVerdict, _min_size, _pair_density
 
@@ -204,6 +206,64 @@ def ham_path_by_list_dp(g: Graph, x: int, y: int):
     if not dp[(1 << g.n) - 1] >> y & 1:
         return None
     return list_dp_walk_back(g, dp, x, y)
+
+
+def rotation_attempt_by_listing(
+    g: Graph, allowed: int, x: int, targets: int, rng: random.Random, step_cap: int
+) -> list[int] | None:
+    """Rotation-extension that lists every candidate, draws one with
+    ``rng.randrange(len(choices))`` and filters pivots by position: the
+    version the r-th-set-bit draw replaced, kept for the very same paths."""
+    adj = g.adj
+    path = [x]
+    in_path = 1 << x
+    pos = {x: 0}
+    tried_ends = 0
+    for _ in range(step_cap):
+        end = path[-1]
+        ext = adj[end] & allowed & ~in_path
+        if ext:
+            choices = bit_list(ext)
+            v = choices[rng.randrange(len(choices))]
+            pos[v] = len(path)
+            path.append(v)
+            in_path |= 1 << v
+            tried_ends = 0
+            if in_path == allowed and (1 << v) & targets:
+                return path
+            continue
+        if in_path == allowed and (1 << end) & targets:
+            return path
+        pivots = adj[end] & in_path
+        if len(path) >= 2:
+            pivots &= ~(1 << path[-2])
+        choices = [v for v in bit_list(pivots) if pos[v] + 1 < len(path) - 1]
+        if not choices:
+            return None
+        piv = choices[rng.randrange(len(choices))]
+        i = pos[piv]
+        path[i + 1:] = reversed(path[i + 1:])
+        for j in range(i + 1, len(path)):
+            pos[path[j]] = j
+        tried_ends += 1
+        if tried_ends > len(path) + 4:
+            return None
+    return None
+
+
+def rotation_path_by_listing(g: Graph, x: int, y: int, restarts: int, seed: int):
+    """The x-y path order the rotation stage of ``find_hamiltonian_path``
+    returns for these restarts and seed, drawn by listing, or None."""
+    allowed = g.vertex_mask & ~(1 << y)
+    targets = g.adj[y] & allowed
+    if not targets:
+        return None
+    for r in range(restarts):
+        rng = random.Random(seed * 1_000_003 + r)
+        got = rotation_attempt_by_listing(g, allowed, x, targets, rng, 40 * g.n)
+        if got is not None:
+            return tuple(got) + (y,)
+    return None
 
 
 def ham_path_exists_naive(g: Graph, x: int, y: int) -> bool:

@@ -55,6 +55,15 @@ def test_edges_between_requires_disjoint():
         edges_between(Graph.complete(4), [0, 1], [1, 2])
 
 
+def test_vertex_sets_outside_the_graph_raise():
+    # a negative index is refused before it is shifted, a huge one before
+    # its bit is allocated
+    g = Graph.complete(4)
+    for bad in ([-1], [0, 4], [1 << 20], -1):
+        with pytest.raises(GraphError, match="outside 0..n-1"):
+            edges_between(g, bad, [2])
+
+
 def test_edges_between_symmetric_and_matches_naive():
     rng = random.Random(101)
     for _ in range(60):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kordered
 from kordered import (
     Graph,
     GraphError,
@@ -203,10 +208,34 @@ def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
         ["regular", str(k33), "--a", "0,1,2", "--b", "3,4,5", "--eps", "-1", "--delta", "1"],
         ["scycle", str(tmp_path / "missing.g6"), "--seq", "0,1"],
         ["scycle", str(not_ascii), "--seq", "0,1"],
+        ["scycle", str(p), "--seq=--"],
+        ["regular", str(k33), "--a", "0,1,2", "--b=-1", "--eps", "0.3"],
+        ["extremal", "--kind", "sparse", "--n", "8", "--k=-1"],
+        ["scan", "--n", "8", "--k", "4", "--trials", "0"],
+        ["extremal", "--kind", "sparse", "--n", "60", "--k", "4", "--trials", "-3"],
+        ["regular", str(k33), "--a", "0,1,2", "--b", "3,4,5", "--eps", "0.3",
+         "--mode", "sampled", "--samples", "0"],
+        ["regular", str(k33), "--a", "0,1,2", "--b", "3,4,5", "--eps", "0.3",
+         "--mode", "sampled", "--samples", "-4"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(kordered.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "kordered", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "scycle" in shown.stdout
+    refused = run("scan", "--n", "8", "--k", "4", "--trials", "0")
+    assert refused.returncode == 2
+    assert refused.stderr == "error: --trials must be at least 1, got 0\n"
 
 
 def test_cli_scycle_refuses_graphs_past_the_cap(tmp_path, capsys):

@@ -20,7 +20,8 @@ from kordered import (
     posa_condition,
     verify_s_cycle,
 )
-from kordered.hamilton import realised_sequences
+from kordered.core import bit_list
+from kordered.hamilton import _nth_bit, realised_sequences
 from oracles import (
     first_failing_sequence_naive,
     ham_path_by_list_dp,
@@ -28,6 +29,7 @@ from oracles import (
     is_k_ordered_by_enumeration,
     naive_hamiltonian_cycles,
     random_graph,
+    rotation_path_by_listing,
     s_cycle_by_list_dp,
     s_cycle_exists_naive,
 )
@@ -106,6 +108,19 @@ def test_same_cycles_and_paths_as_the_list_dp():
         assert (got.order if got else None) == want, (g, seq)
         nones += want is None
     assert 50 < nones < 250
+    # the path DP leaves y out and ends on a neighbour of it: larger n,
+    # x next to y, n=3, and a y whose only neighbour is x
+    cases = [(random_graph(rng, n, p), *rng.sample(range(n), 2))
+             for n, p in ((14, 0.5), (15, 0.45), (16, 0.3))]
+    near = random_graph(rng, 15, 0.4)
+    cases.append((Graph.from_edges(15, [*near.edges(), (2, 9)]), 2, 9))
+    cases += [(Graph.path(3), 0, 2), (Graph.path(3), 0, 1), (Graph.complete(3), 1, 2)]
+    # 5 hangs off 0 alone
+    pendant = Graph.from_edges(6, [(0, 5), (0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
+    cases += [(pendant, 0, 5), (pendant, 1, 5)]
+    for g, x, y in cases:
+        got = find_hamiltonian_path(g, x, y, restarts=0).path
+        assert (got.order if got else None) == ham_path_by_list_dp(g, x, y), (g, x, y)
 
 
 def test_dihedral_invariance():
@@ -389,6 +404,33 @@ def test_agrees_with_naive_path_oracle():
             assert order[0] == x and order[-1] == y
             assert sorted(order) == list(range(n))
             assert all(g.has_edge(u, v) for u, v in zip(order, order[1:]))
+
+
+def test_rotation_stage_draws_the_same_paths_as_listing():
+    # the r-th set bit for r = randrange(count) is the draw the listing
+    # made, so every seed gives the same path, sparse or dense
+    rng = random.Random(32)
+    found = 0
+    for _ in range(60):
+        n = rng.randint(8, 200)
+        p = rng.choice((rng.uniform(0.04, 0.15), rng.uniform(0.5, 0.95)))
+        g = random_graph(rng, n, p)
+        x, y = rng.sample(range(n), 2)
+        restarts, seed = rng.randint(1, 4), rng.randrange(100)
+        want = rotation_path_by_listing(g, x, y, restarts, seed)
+        res = find_hamiltonian_path(g, x, y, restarts=restarts, seed=seed)
+        assert (res.path.order if res.method == "rotation" else None) == want, (n, x, y)
+        found += want is not None
+    assert 20 < found < 60
+
+
+def test_nth_bit_is_the_listed_bit():
+    rng = random.Random(33)
+    for _ in range(300):
+        mask = rng.getrandbits(rng.randint(1, 800)) | 1 << rng.randrange(800)
+        listed = bit_list(mask)
+        for r in {0, len(listed) - 1, rng.randrange(len(listed))}:
+            assert _nth_bit(mask, r) == listed[r]
 
 
 def test_posa_graphs_hamiltonian_connected_via_search():
