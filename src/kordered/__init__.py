@@ -21,10 +21,7 @@ from .graph6 import (
 )
 from .matching import (
     Matching,
-    MatchingBoundCheck,
     bipartite_matching_and_cover,
-    degree_ratio_check,
-    erdos_posa_check,
     maximum_matching,
 )
 from .hamilton import (
@@ -34,12 +31,10 @@ from .hamilton import (
     PathSearchResult,
     VerifyResult,
     bipartite_posa_condition,
-    canonical_sequence,
     enumerate_hamiltonian_cycles,
     find_hamiltonian_path,
     find_s_cycle,
     hamiltonian_cycle,
-    is_hamiltonian,
     is_k_ordered,
     posa_condition,
     verify_s_cycle,

@@ -107,6 +107,8 @@ def sharpness_sweep(
     for n in n_values:
         ks = list(k_values) if k_values else list(range(2, n // 2 + 1))
         jobs.extend((n, k) for k in ks if 2 <= k <= n // 2)
+    if not jobs:
+        raise ConstructionError("no requested (n, k) has 2 <= k <= floor(n/2)")
 
     def run(job):
         n, k = job
@@ -158,7 +160,12 @@ def threshold_scan(
         raise ConstructionError(
             f"scan needs exact per-instance verdicts: n capped at {EXACT_SOLVER_LIMIT}"
         )
+    if not 2 <= k <= n:
+        raise GraphError(f"k={k} outside 2..n")
     bound = min_degree_threshold(n, k)
+    deltas = [(off, bound + off) for off in offsets if 0 <= bound + off < n]
+    if not deltas:
+        raise ConstructionError(f"no offset puts the minimum degree in 0..{n - 1}")
     report = ExperimentReport(
         "scan",
         {"n": n, "k": k, "trials": trials, "offsets": list(offsets), "bound": bound},
@@ -168,11 +175,7 @@ def threshold_scan(
         "small-n empirical scan; the degree threshold only guarantees "
         "k-orderedness asymptotically"
     )
-    jobs = []
-    for off in offsets:
-        delta = bound + off
-        if 0 <= delta < n:
-            jobs.extend((off, delta, t) for t in range(trials))
+    jobs = [(off, delta, t) for off, delta in deltas for t in range(trials)]
 
     def run(job):
         off, delta, t = job

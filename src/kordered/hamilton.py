@@ -255,10 +255,6 @@ def hamiltonian_cycle(g: Graph) -> HamCycle | None:
     return find_s_cycle(g, (0, 1))
 
 
-def is_hamiltonian(g: Graph) -> bool:
-    return hamiltonian_cycle(g) is not None
-
-
 def verify_s_cycle(g: Graph, seq: Sequence[int], cycle: HamCycle) -> VerifyResult:
     """Certificate check: valid Hamiltonian cycle that meets seq in order.
 
@@ -321,20 +317,11 @@ def enumerate_hamiltonian_cycles(g: Graph) -> Iterator[tuple[int, ...]]:
         cand[depth] = adj[v] & ~used
 
 
-def canonical_sequence(seq: Sequence[int]) -> tuple[int, ...]:
-    """Dihedral canonical form: rotate the min vertex first, then the
-    lexicographically smaller of the two directions."""
-    s = tuple(seq)
-    i = s.index(min(s))
-    fwd = s[i:] + s[:i]
-    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
-    return min(fwd, rev)
-
-
 def realised_sequences(order: Sequence[int], k: int) -> set[tuple[int, ...]]:
-    """The canonical k-sequences a cycle with vertex order ``order``
-    realises: ``canonical_sequence(t)`` for every t in
-    ``combinations(order, k)``, built without canonicalising each one.
+    """The canonical form of every t in ``combinations(order, k)`` for a
+    cycle with vertex order ``order``: least vertex first, then the
+    lexicographically smaller of the two directions.  Built without
+    canonicalising each t.
 
     A subset whose least vertex is m reads, around the cycle after m, as
     m followed by a (k-1)-combination c of the vertices above m in that

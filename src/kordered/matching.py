@@ -1,4 +1,4 @@
-"""Maximum matching in general and bipartite graphs, plus matching lower bounds.
+"""Maximum matching in general and bipartite graphs.
 
 General graphs use augmenting-path search with blossom contraction; the
 bipartite routine is an alternating-BFS/DFS layering that also extracts a
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import Graph, GraphError, bit_list, bits, degree_profile
+from .core import Graph, GraphError, bit_list, bits
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,6 @@ class Matching:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def is_valid_for(self, g: Graph) -> bool:
-        return self.n == g.n and all(g.has_edge(u, v) for u, v in self.edges)
 
 
 def _edges_from_match(n: int, match: list[int]) -> tuple[tuple[int, int], ...]:
@@ -201,28 +197,3 @@ def bipartite_matching_and_cover(g: Graph, a, b) -> tuple[Matching, frozenset[in
                 queue.append(w)
     cover = frozenset(u for u in a_list if u not in reach) | frozenset(reach_b)
     return matching, cover
-
-
-@dataclass(frozen=True)
-class MatchingBoundCheck:
-    nu: int
-    bound: Fraction
-    holds: bool
-
-
-def erdos_posa_check(g: Graph) -> MatchingBoundCheck:
-    """Check nu(G) >= min(delta(G), (n-1)/2); true on every graph."""
-    nu = len(maximum_matching(g))
-    profile = degree_profile(g)
-    bound = min(Fraction(profile.min_degree), Fraction(g.n - 1, 2))
-    return MatchingBoundCheck(nu, bound, Fraction(nu) >= bound)
-
-
-def degree_ratio_check(g: Graph) -> MatchingBoundCheck:
-    """Check nu(G) >= delta*n / (2*(delta+Delta)); edgeless graphs get bound 0."""
-    nu = len(maximum_matching(g))
-    profile = degree_profile(g)
-    if profile.max_degree == 0:
-        return MatchingBoundCheck(nu, Fraction(0), True)
-    bound = Fraction(profile.min_degree * g.n, 2 * (profile.min_degree + profile.max_degree))
-    return MatchingBoundCheck(nu, bound, Fraction(nu) >= bound)

@@ -91,6 +91,16 @@ def cycle_meets_order(order: tuple[int, ...], seq) -> bool:
     )
 
 
+def canonical_sequence(seq) -> tuple[int, ...]:
+    """Dihedral canonical form: rotate the min vertex first, then the
+    lexicographically smaller of the two directions."""
+    s = tuple(seq)
+    i = s.index(min(s))
+    fwd = s[i:] + s[:i]
+    rev = (fwd[0],) + tuple(reversed(fwd[1:]))
+    return min(fwd, rev)
+
+
 def s_cycle_exists_naive(g: Graph, seq) -> bool:
     return any(cycle_meets_order(c, seq) for c in naive_hamiltonian_cycles(g))
 

@@ -223,6 +223,28 @@ def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["sharpness", "--n", "8-12", "--k", "9"], 3, "infeasible: "),
+    (["sharpness", "--n", "3"], 3, "infeasible: "),
+    (["sharpness", "--n", "8", "--k", "1"], 3, "infeasible: "),
+    (["scan", "--n", "8", "--k", "4", "--trials", "2", "--offsets=50"], 3, "infeasible: "),
+    (["scan", "--n", "8", "--k", "12", "--trials", "1"], 2, "error: k=12 outside 2..n"),
+    (["scan", "--n", "0", "--k", "2", "--trials", "1"], 2, "error: k=2 outside 2..n"),
+])
+def test_cli_requests_that_select_nothing_fail(argv, code, prefix, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+
+
+def test_partly_valid_requests_drop_the_invalid_pairs():
+    rep = sharpness_sweep([3, 8], [1, 2, 9])
+    assert [(r["n"], r["k"]) for r in rep.rows] == [(8, 2)]
+    rep = threshold_scan(8, 4, trials=1, offsets=(50, 0))
+    assert [r["offset"] for r in rep.rows] == [0]
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(kordered.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
