@@ -4,7 +4,8 @@ Subcommands: sharpness, scan, ordered, scycle, extremal, regular, gen.
 Graphs travel as graph6 (stdin/stdout or file paths); reports are CSV or
 JSON.  Exit codes: 0 success, 2 property violation, solver failure or
 malformed input (a one-line message, no traceback), 3 infeasible
-parameters.  ``main`` is the one place that maps errors to exit codes.
+parameters or running out of memory.  ``main`` is the one place that
+maps errors to exit codes.
 """
 
 from __future__ import annotations
@@ -65,7 +66,10 @@ def _ints(tokens: list[str], text: str) -> list[int]:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return _ints(text.replace(",", " ").split(), text)
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise UsageError(f"expected integers, got {text!r}")
+    return _ints(tokens, text)
 
 
 def _parse_range(text: str) -> list[int]:
@@ -87,7 +91,7 @@ def _count(value: int, flag: str) -> int:
 
 
 def cmd_sharpness(args) -> int:
-    ks = _parse_range(args.k) if args.k else None
+    ks = None if args.k is None else _parse_range(args.k)
     report = experiments.sharpness_sweep(_parse_range(args.n), ks, timing=args.timing)
     _emit_report(report, args.format, sys.stdout)
     return EXIT_OK if report.aggregates["violations"] == 0 else EXIT_VIOLATION
@@ -331,6 +335,9 @@ def main(argv=None) -> int:
     except (Graph6Error, GraphError, UsageError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except MemoryError:
+        print("infeasible: out of memory", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

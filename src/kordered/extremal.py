@@ -14,7 +14,7 @@ asymptotic hypotheses only affect whether a run succeeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -50,20 +50,19 @@ class HypothesisViolation(ValueError):
 
 
 class StageError(RuntimeError):
-    """A pipeline stage failed; carries the stage name and a state snapshot."""
+    """A pipeline stage failed; carries the stage name and a one-line detail."""
 
-    def __init__(self, stage: str, detail: str, snapshot: dict | None = None):
+    def __init__(self, stage: str, detail: str):
         super().__init__(f"[{stage}] {detail}")
         self.stage = stage
         self.detail = detail
-        self.snapshot = snapshot or {}
 
 
 class RoutingError(StageError):
     """connect_pairs could not route a pair within its length budget."""
 
-    def __init__(self, pair, detail: str, snapshot: dict | None = None):
-        super().__init__("routing", f"pair {pair}: {detail}", snapshot)
+    def __init__(self, pair, detail: str):
+        super().__init__("routing", f"pair {pair}: {detail}")
         self.pair = pair
 
 
@@ -338,8 +337,7 @@ def connect_pairs(
         interior_ok = allowed & ~(endpoint_mask | avoid_mask | used_interior)
         path = _bfs_route(adj_of, u, w, interior_ok, max_len)
         if path is None:
-            raise RoutingError((u, w), f"no path of length <= {max_len}",
-                               {"routed": len(out)})
+            raise RoutingError((u, w), f"no path of length <= {max_len} ({len(out)} routed before it)")
         used_interior |= mask_of(path[1:-1])
         out.append(tuple(path))
     system = PathSystem(tuple(out))
@@ -353,7 +351,7 @@ def connect_pairs(
 @dataclass
 class ExtremalSolution:
     cycle: HamCycle
-    trace: dict = field(default_factory=dict)
+    trace: dict
 
 
 def _route_or_fail(g, side_mask, u, w, blocked):
@@ -365,8 +363,7 @@ def _route_or_fail(g, side_mask, u, w, blocked):
 
     path = _bfs_route(adj_of, u, w, side_mask & ~blocked, 4)
     if path is None:
-        raise StageError("assembly", f"cannot route {u}->{w} inside one side",
-                         {"side_size": side_mask.bit_count()})
+        raise StageError("assembly", f"cannot route {u}->{w} inside one side")
     return path
 
 
@@ -418,8 +415,7 @@ def _certified(g: Graph, s, cyc: list[int], trace: dict) -> ExtremalSolution:
     check = verify_s_cycle(g, s, cycle)
     trace["certified"] = bool(check)
     if not check:
-        raise StageError("certify", f"assembled cycle failed verification: {check.reason}",
-                         {"cycle_len": len(cyc)})
+        raise StageError("certify", f"assembled cycle failed verification: {check.reason}")
     return ExtremalSolution(cycle, trace)
 
 
@@ -521,11 +517,7 @@ def solve_extremal_sparse(
                     if not used & ((1 << u0) | (1 << w0)):
                         break
                 else:
-                    raise StageError(
-                        "assembly",
-                        "no free bridge for a side switch",
-                        {"built": len(cyc), "remaining": k - idx},
-                    )
+                    raise StageError("assembly", f"no free bridge for the side switch {vi}->{vn}")
             del partner[u0], partner[w0]
             seg = _route_or_fail(g, xm, vi, u0, blocked) + _route_or_fail(
                 g, ym, w0, vn, blocked
@@ -534,7 +526,7 @@ def solve_extremal_sparse(
         add = seg[1:-1] if closing else seg[1:]
         for v in add:
             if used & (1 << v):
-                raise StageError("assembly", f"vertex {v} reused", {"cycle": cyc})
+                raise StageError("assembly", f"vertex {v} reused")
             used |= 1 << v
         cyc.extend(add)
 
@@ -555,11 +547,8 @@ def solve_extremal_sparse(
             if side_mask & (1 << cyc[i]) and side_mask & (1 << cyc[(i + 1) % len(cyc)])
         ]
         if not anchors:
-            raise StageError(
-                "absorption",
-                "no same-side consecutive pair to anchor the patch",
-                {"side_size": side_mask.bit_count(), "missing": missing.bit_count()},
-            )
+            raise StageError("absorption", "no same-side pair to anchor "
+                             f"{missing.bit_count()} missing vertices")
         for attempt, i in enumerate(anchors[:10]):
             x, y = cyc[i], cyc[(i + 1) % len(cyc)]
             t_mask = missing | (1 << x) | (1 << y)
@@ -568,12 +557,9 @@ def solve_extremal_sparse(
                 break
             retries += 1
         else:
-            sub = induced_subgraph(g, t_mask)[0]
-            raise StageError(
-                "absorption",
-                "patch path not found",
-                {"missing": missing.bit_count(), "posa": posa_condition(sub)},
-            )
+            posa = "holds" if posa_condition(induced_subgraph(g, t_mask)[0]) else "fails"
+            raise StageError("absorption", "patch path not found for "
+                             f"{missing.bit_count()} missing vertices (Posa condition {posa})")
         interior = patch[1:-1]
         cyc[i + 1:i + 1] = interior
         used |= mask_of(interior)
@@ -582,11 +568,8 @@ def solve_extremal_sparse(
     leftover = g.vertex_mask & ~used
     if leftover:
         if leftover not in (amask, bmask):
-            raise StageError(
-                "untouched-side",
-                "leftover vertices are not a full untouched side",
-                {"leftover": leftover.bit_count()},
-            )
+            raise StageError("untouched-side", f"{leftover.bit_count()} leftover vertices "
+                             "are not a full untouched side")
         for i in range(min(10, len(cyc))):
             n1 = g.adj[cyc[i]] & leftover
             if not n1:
@@ -601,7 +584,7 @@ def solve_extremal_sparse(
                 break
             retries += 1
         else:
-            raise StageError("untouched-side", "could not splice the untouched side", {})
+            raise StageError("untouched-side", "could not splice the untouched side")
         cyc[i + 1:i + 1] = segment
 
     trace["retries"] = retries
@@ -687,7 +670,7 @@ def solve_extremal_dense(
     for seg in system.paths:
         path.extend(seg[seg[0] == path[-1]:])
     if len(set(path)) != len(path):
-        raise StageError("threading", "threaded path repeats a vertex", {"path": path})
+        raise StageError("threading", "threaded path repeats a vertex")
 
     p_mask = mask_of(path)
     side_bit = lambda v: 0 if amask & (1 << v) else 1
@@ -695,7 +678,7 @@ def solve_extremal_dense(
         other = bmask if side_bit(path[-1]) == 0 else amask
         cand = g.adj[path[-1]] & other & ~p_mask & ~s_mask
         if not cand:
-            raise StageError("parity", "no spare vertex to fix endpoint parity", {})
+            raise StageError("parity", "no spare vertex to fix endpoint parity")
         v = (cand & -cand).bit_length() - 1
         path.append(v)
         p_mask |= 1 << v
@@ -705,7 +688,7 @@ def solve_extremal_dense(
     ra = (remainder & amask).bit_count()
     rb = (remainder & bmask).bit_count()
     if ra != rb:
-        raise StageError("closing", f"remainder sides unbalanced ({ra} vs {rb})", {})
+        raise StageError("closing", f"remainder sides unbalanced ({ra} vs {rb})")
     cross_rows = tuple(
         g.adj[v] & (bmask if amask & (1 << v) else amask) for v in range(g.n)
     )
@@ -716,7 +699,7 @@ def solve_extremal_dense(
         )
     if remainder == (1 << path[0]) | (1 << path[-1]):
         if not g.has_edge(path[0], path[-1]):
-            raise StageError("closing", "degenerate remainder without a closing edge", {})
+            raise StageError("closing", "degenerate remainder without a closing edge")
         cyc = path
     else:
         for attempt in range(10):
@@ -724,11 +707,8 @@ def solve_extremal_dense(
             if closing is not None:
                 break
         else:
-            raise StageError(
-                "closing",
-                "no bipartite Hamiltonian path over the remainder",
-                {"remainder": remainder.bit_count()},
-            )
+            raise StageError("closing", "no bipartite Hamiltonian path over "
+                             f"{remainder.bit_count()} remainder vertices")
         cyc = path + closing[1:-1]
 
     return _certified(g, s, cyc, trace)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,12 @@ def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
          "--mode", "sampled", "--samples", "0"],
         ["regular", str(k33), "--a", "0,1,2", "--b", "3,4,5", "--eps", "0.3",
          "--mode", "sampled", "--samples", "-4"],
+        # an empty list is a usage error, not an absent flag
+        ["sharpness", "--n", "8", "--k="],
+        ["sharpness", "--n", "8", "--k=,"],
+        ["sharpness", "--n="],
+        ["scycle", str(p), "--seq=,"],
+        ["regular", str(k33), "--a=", "--b", "3,4,5", "--eps", "0.3"],
     ):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
@@ -258,6 +265,30 @@ def test_python_dash_m_runs_the_cli():
     refused = run("scan", "--n", "8", "--k", "4", "--trials", "0")
     assert refused.returncode == 2
     assert refused.stderr == "error: --trials must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["scycle", "--seq", "0,1"],
+    ["ordered", "--k", "2"],
+    ["regular", "--a", "0", "--b", "1", "--eps", "0.3"],
+])
+@pytest.mark.parametrize("header", ["40000", "1000000"])
+def test_cli_out_of_memory_exits_3_with_one_line(tmp_path, command, header):
+    # an edge-list header alone asks for an n-vertex graph; the address
+    # space limit applies to the child process only
+    p = tmp_path / "huge.txt"
+    p.write_text(header + "\n0 1\n")
+    limit = 512 * 2**20
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(kordered.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "kordered", command[0], str(p), *command[1:]]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120, preexec_fn=cap_memory)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr == "infeasible: out of memory\n"
 
 
 def test_cli_scycle_refuses_graphs_past_the_cap(tmp_path, capsys):

@@ -12,6 +12,7 @@ from kordered import (
     HypothesisViolation,
     PathSystem,
     RoutingError,
+    StageError,
     build_dense_bipartite_instance,
     build_sparse_cut_instance,
     classify_extremal,
@@ -24,6 +25,7 @@ from kordered import (
     solve_extremal_sparse,
     verify_s_cycle,
 )
+from kordered.cli import main
 
 DESK = ExtremalParams(alpha=Fraction(3, 10))
 WIDE = ExtremalParams(beta=Fraction(5, 100), alpha=Fraction(3, 10))
@@ -341,6 +343,51 @@ def test_dense_random_batch_always_certifies():
         seq = tuple(rng.sample(range(n), k))
         sol = solve_extremal_dense(inst.graph, inst.side_a, inst.side_b, seq, DESK, seed=t)
         assert verify_s_cycle(inst.graph, seq, sol.cycle)
+
+
+# -- solver failures ------------------------------------------------------
+
+
+def _no_hamiltonian_paths(monkeypatch):
+    """Make every patch and closing path search miss; returns the sizes of
+    the vertex sets searched."""
+    sizes = []
+
+    def miss(g, mask, x, y, seed):
+        sizes.append(mask.bit_count())
+        return None
+
+    monkeypatch.setattr("kordered.extremal._path_through", miss)
+    return sizes
+
+
+def test_sparse_absorption_failure_names_the_missing_count(monkeypatch):
+    sizes = _no_hamiltonian_paths(monkeypatch)
+    inst = build_sparse_cut_instance(40, 2, seed=0)
+    seq = (inst.side_a[0], inst.side_b[0])
+    with pytest.raises(StageError) as err:
+        solve_extremal_sparse(inst.graph, inst.side_a, inst.side_b, seq, DESK)
+    assert err.value.stage == "absorption"
+    # each search spans the missing vertices plus the two anchor ends
+    assert f"for {sizes[-1] - 2} missing vertices" in str(err.value)
+
+
+def test_dense_closing_failure_is_a_stage_error(monkeypatch):
+    _no_hamiltonian_paths(monkeypatch)
+    inst = build_dense_bipartite_instance(41, 2, 1, seed=0)
+    with pytest.raises(StageError) as err:
+        solve_extremal_dense(inst.graph, inst.side_a, inst.side_b, (0, 20), DESK)
+    assert err.value.stage == "closing"
+    assert "remainder vertices" in err.value.detail
+
+
+def test_cli_solver_failure_is_one_line(monkeypatch, capsys):
+    _no_hamiltonian_paths(monkeypatch)
+    assert main(["extremal", "--kind", "dense", "--n", "61", "--k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("solver failure: [closing] ")
+    assert captured.err.count("\n") == 1, captured.err
 
 
 def test_dispatcher_routes_by_label():
