@@ -128,8 +128,8 @@ def cmd_ordered(args) -> int:
 
 
 def cmd_scycle(args) -> int:
-    g = _read_graph(args.graph)
     seq = tuple(_parse_ints(args.seq))
+    g = _read_graph(args.graph)
     cycle = find_s_cycle(g, seq)
     if cycle is None:
         print(json.dumps({"sequence": list(seq), "cycle": None}, sort_keys=True))
@@ -155,9 +155,9 @@ def cmd_extremal(args) -> int:
 
 def cmd_regular(args) -> int:
     _count(args.samples, "--samples")
-    g = _read_graph(args.graph)
     a = _parse_ints(args.a)
     b = _parse_ints(args.b)
+    g = _read_graph(args.graph)
     if args.delta is not None:
         verdict = is_super_regular(
             g, a, b, args.eps, args.delta, mode=args.mode, samples=args.samples, seed=args.seed

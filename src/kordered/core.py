@@ -10,6 +10,7 @@ as int bitmasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -33,6 +34,62 @@ def bits(mask: int) -> Iterator[int]:
 
 def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
+
+
+# The draws of random.Random's randrange/randint, sample and shuffle, taken
+# from its bound getrandbits without the stdlib's per-call argument checks
+# and method layers: same stream, same results, about half the cost in a
+# hot loop.  tests/test_core.py compares them with the running interpreter's
+# random module.
+
+
+def draw_below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n > 0: ``random.Random._randbelow``."""
+    t = n.bit_length()
+    r = getrandbits(t)
+    while r >= n:
+        r = getrandbits(t)
+    return r
+
+
+def draw_sample(getrandbits, population: list, k: int) -> list:
+    """``random.Random.sample(population, k)`` for 0 <= k <= len(population):
+    a pool of the unpicked when a k-set would take more room, otherwise
+    reselection into a set of picked positions."""
+    n = len(population)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            t = m.bit_length()
+            j = getrandbits(t)
+            while j >= m:
+                j = getrandbits(t)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    selected: set[int] = set()
+    t = n.bit_length()
+    for _ in range(k):
+        j = getrandbits(t)
+        while j >= n or j in selected:
+            j = getrandbits(t)
+        selected.add(j)
+        result.append(population[j])
+    return result
+
+
+def draw_shuffle(getrandbits, x: list) -> None:
+    """``random.Random.shuffle(x)``: reverse Fisher-Yates, in place."""
+    for i in range(len(x) - 1, 0, -1):
+        t = (i + 1).bit_length()
+        j = getrandbits(t)
+        while j > i:
+            j = getrandbits(t)
+        x[i], x[j] = x[j], x[i]
 
 
 class GraphError(ValueError):

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Graph, bits, density, degree_profile
+from .core import Graph, bits, density, degree_profile, draw_shuffle
 
 
 class ConstructionError(ValueError):
@@ -204,21 +204,28 @@ def build_dense_bipartite_instance(
         raise ConstructionError("need a larger instance")
     floor_deg = min_degree_threshold(n, k)
 
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     a_mask = (1 << na) - 1
     b_mask = ((1 << n) - 1) ^ a_mask
     rows = [b_mask] * na + [a_mask] * nb
 
-    # delete a sprinkling of cross edges, bounded per vertex
+    # delete a sprinkling of cross edges, bounded per vertex, visiting them
+    # in a shuffled order; cross edge (u, na + w) is the int u*nb + w, which
+    # shuffles as its (u, v) pair would, since a shuffle's permutation
+    # depends only on the list's length
     budget = [int(DELETE_FRAC * nb)] * na + [int(DELETE_FRAC * na)] * nb
-    deletable = [(u, v) for u in range(na) for v in range(na, n)]
-    rng.shuffle(deletable)
+    deletable = list(range(na * nb))
+    draw_shuffle(getrandbits, deletable)
     target_deletions = int(DELETE_FRAC * len(deletable))
     removed = 0
-    for u, v in deletable:
+    for c in deletable:
         if removed >= target_deletions:
             break
-        if budget[u] > 0 and budget[v] > 0:
+        u = c // nb
+        if not budget[u]:
+            continue
+        v = na + c % nb
+        if budget[v]:
             rows[u] ^= 1 << v
             rows[v] ^= 1 << u
             budget[u] -= 1
@@ -227,7 +234,7 @@ def build_dense_bipartite_instance(
 
     # plant a matching of size r inside A for the balancing step
     free_a = list(range(na))
-    rng.shuffle(free_a)
+    draw_shuffle(getrandbits, free_a)
     for i in range(r):
         _link(rows, free_a[2 * i], free_a[2 * i + 1])
 

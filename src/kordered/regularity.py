@@ -20,6 +20,14 @@ also finds the pair that a scan over every |X| >= x_min and |Y| >= y_min
 (sizes increasing, densest before sparsest) would find first: that scan
 meets the x_min-subsets first, and any X that deviates at some |Y|
 already deviates at y_min, on the same side.
+
+The sampled mode draws exactly what ``random.Random(seed)`` would give
+through ``randint`` and ``sample``, for each of ``samples`` rounds: |X|,
+|Y|, then X and Y.  It takes those draws straight from the generator's
+``getrandbits`` (``core.draw_below``, ``core.draw_sample``), which skips
+the stdlib's per-call layers; a side-40 pair at the default 10,000
+samples takes ~120 ms on a 2-vCPU host, against ~220 ms through the
+stdlib methods.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Graph, GraphError, bit_list, mask_of
+from .core import Graph, GraphError, bit_list, draw_below, draw_sample, mask_of
 
 
 def as_fraction(x) -> Fraction:
@@ -61,13 +69,17 @@ class RegularityVerdict:
 EXACT_CAP = 14
 
 
-def _checked_eps(eps, mode: str) -> Fraction:
-    """Parse eps and check it and the mode before any verdict is formed."""
+def _checked_args(eps, mode: str, samples: int) -> Fraction:
+    """Parse eps and check it, the mode and the sample count before any
+    verdict is formed; zero samples would draw nothing and call any pair
+    regular."""
     e = as_fraction(eps)
     if e <= 0:
         raise GraphError("eps must be positive")
     if mode not in ("auto", "exact", "sampled"):
         raise GraphError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise GraphError(f"samples must be at least 1, got {samples}")
     return e
 
 
@@ -145,22 +157,27 @@ def _sampled_check(
         return RegularityVerdict(True, "sampled")
     p0, q0 = d0.numerator, d0.denominator
     pe, qe = eps.numerator, eps.denominator
-    adj = g.adj
-    rng = random.Random(seed)
+    # X is drawn as positions into a_rows, Y as single-bit masks
+    a_rows = [g.adj[x] for x in a_list]
+    a_pos = list(range(na))
+    b_bits = [1 << y for y in b_list]
+    getrandbits = random.Random(seed).getrandbits
     for _ in range(samples):
-        sx = rng.randint(x_min, na)
-        sy = rng.randint(y_min, nb)
-        xs = sorted(rng.sample(a_list, sx))
-        ys = sorted(rng.sample(b_list, sy))
-        ym = mask_of(ys)
-        e = sum((adj[x] & ym).bit_count() for x in xs)
+        # rng.randint(x_min, na), rng.randint(y_min, nb), then rng.sample of
+        # each side
+        sx = x_min + draw_below(getrandbits, na - x_min + 1)
+        sy = y_min + draw_below(getrandbits, nb - y_min + 1)
+        x_picked = draw_sample(getrandbits, a_pos, sx)
+        y_picked = draw_sample(getrandbits, b_bits, sy)
+        ym = sum(y_picked)
+        e = sum(map(int.bit_count, map(ym.__and__, map(a_rows.__getitem__, x_picked))))
         # |e/(sx*sy) - p0/q0| >= pe/qe, in integers
         cells = sx * sy
         gap = abs(e * q0 - p0 * cells)
         if gap * qe >= pe * cells * q0:
-            return RegularityVerdict(
-                False, "sampled", (tuple(xs), tuple(ys), Fraction(gap, cells * q0))
-            )
+            xs = tuple(sorted(a_list[i] for i in x_picked))
+            ys = tuple(sorted(b.bit_length() - 1 for b in y_picked))
+            return RegularityVerdict(False, "sampled", (xs, ys, Fraction(gap, cells * q0)))
     return RegularityVerdict(True, "sampled")
 
 
@@ -181,9 +198,10 @@ def is_epsilon_regular(
     pairs, "auto" picks exact when the sides fit under the cap and
     otherwise downgrades to sampled; the verdict records which mode ran.
     A sampled verdict never claims irregularity without a witness pair.
+    ``samples`` below 1 raises GraphError in every mode.
     """
     a_list, b_list = _sides(g, a, b)
-    e = _checked_eps(eps, mode)
+    e = _checked_args(eps, mode, samples)
     fits = len(a_list) <= EXACT_CAP and len(b_list) <= EXACT_CAP
     if mode == "exact" and not fits:
         raise GraphError(
@@ -209,7 +227,7 @@ def is_super_regular(
     needs degree > delta*|B| into b and vice versa.  A failing vertex is
     reported on the verdict."""
     a_list, b_list = _sides(g, a, b)
-    _checked_eps(eps, mode)
+    _checked_args(eps, mode, samples)
     d = as_fraction(delta)
     am, bm = mask_of(a_list), mask_of(b_list)
     for v in a_list:

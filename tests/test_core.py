@@ -12,6 +12,7 @@ from kordered import (
     edges_between,
     induced_subgraph,
 )
+from kordered.core import draw_below, draw_sample, draw_shuffle
 from oracles import (
     graph_error_per_arc,
     induced_subgraph_per_bit,
@@ -211,3 +212,52 @@ def test_symmetry_invariant_after_construction():
             assert not g.adj[u] & (1 << u)
             for v in g.neighbors(u):
                 assert g.has_edge(v, u)
+
+
+# -- the random module's draws, taken from getrandbits ---------------------
+#
+# draw_below, draw_sample and draw_shuffle copy random.Random's randrange,
+# sample and shuffle; these compare them with the running interpreter's own,
+# and the next random() shows that both streams stayed in step.
+
+
+def _in_step(seed, stdlib_call, own_call):
+    ref, own = random.Random(seed), random.Random(seed)
+    expected = stdlib_call(ref)
+    got = own_call(own.getrandbits)
+    assert got == expected
+    assert own.random() == ref.random()
+
+
+@pytest.mark.parametrize("n, k", [
+    (40, 9), (40, 40), (40, 0), (400, 3), (400, 0), (120, 7), (120, 21), (120, 22),
+    (0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (6, 6), (85, 6), (86, 6),
+])
+def test_draw_sample_matches_random_sample(n, k):
+    population = [3 * v + 1 for v in range(n)]
+    for seed in range(25):
+        _in_step(seed, lambda r: r.sample(population, k),
+                 lambda bits: draw_sample(bits, population, k))
+    assert population == [3 * v + 1 for v in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000])
+def test_draw_shuffle_matches_random_shuffle(n):
+    for seed in range(25):
+        def stdlib(r):
+            x = list(range(n))
+            r.shuffle(x)
+            return x
+
+        def own(bits):
+            x = list(range(n))
+            assert draw_shuffle(bits, x) is None
+            return x
+        _in_step(seed, stdlib, own)
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (0, 1), (9, 40), (0, 2**40), (-3, 64)])
+def test_draw_below_matches_random_randint(lo, hi):
+    for seed in range(25):
+        _in_step(seed, lambda r: [r.randint(lo, hi) for _ in range(20)],
+                 lambda bits: [lo + draw_below(bits, hi - lo + 1) for _ in range(20)])

@@ -230,6 +230,18 @@ def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_cli_list_flags_are_parsed_before_the_graph_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.g6")
+    for argv in (
+        ["scycle", missing, "--seq=,"],
+        ["regular", missing, "--a=,", "--b", "1", "--eps", "0.3"],
+        ["regular", missing, "--a", "0", "--b", "1,x", "--eps", "0.3"],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected integers, got ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv, code, prefix", [
     (["sharpness", "--n", "8-12", "--k", "9"], 3, "infeasible: "),
     (["sharpness", "--n", "3"], 3, "infeasible: "),

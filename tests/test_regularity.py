@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -105,6 +106,46 @@ def test_sampled_same_verdicts_and_witnesses_as_fraction_densities():
         assert got == sampled_regularity_by_fractions(g, a, b, eps, 300, seed)
         irregular += not got.regular
     assert 10 <= irregular <= 70
+    # side 120 at eps 1/20: subsets of 7-21 vertices come from random.sample's
+    # set branch; p = 0.97 stays regular through every sample
+    eps = Fraction(1, 20)
+    for seed, p in ((0, 0.5), (1, 0.97)):
+        g, a, b = interleaved_pair(rng, 120, 120, p)
+        got = is_epsilon_regular(g, a, b, eps, mode="sampled", samples=300, seed=seed)
+        assert got == sampled_regularity_by_fractions(g, a, b, eps, 300, seed)
+        assert got.regular == (p == 0.97)
+
+
+def _sampled_records():
+    for seed in range(40):
+        rng = random.Random(seed)
+        g, a, b = bipartite_random(rng, 40, 40, rng.uniform(0.1, 0.9))
+        yield seed, 40, "0.2", is_epsilon_regular(g, a, b, "0.2", mode="sampled",
+                                                 samples=200, seed=seed)
+        g, a, b = bipartite_random(rng, 12, 12, rng.uniform(0.1, 0.9))
+        for eps in ("0.1", "0.2", "0.3"):
+            yield seed, 12, eps, is_epsilon_regular(g, a, b, eps, mode="sampled",
+                                                    samples=200, seed=seed)
+    # side 120 at eps 1/20 draws subsets of 7-21 vertices, which random.sample
+    # takes by reselecting into a set rather than from a pool; p = 0.97 stays
+    # regular through all 2,000 samples
+    rng = random.Random(120)
+    for seed, p in enumerate((0.5, 0.97)):
+        g, a, b = bipartite_random(rng, 120, 120, p)
+        yield seed, 120, "1/20", is_epsilon_regular(g, a, b, Fraction(1, 20), mode="sampled",
+                                                    samples=2000, seed=seed)
+
+
+# recorded with the sampled check drawing through random.Random's randint
+# and sample
+PINNED_SAMPLED_DIGEST = "dde0ecdea64d8426e2e72184f8f051443f51d48f5c32dd1f48411e87ca2e8c41"
+
+
+def test_sampled_output_is_pinned():
+    h = hashlib.sha256()
+    for record in _sampled_records():
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == PINNED_SAMPLED_DIGEST
 
 
 def test_monotone_in_epsilon_exact_mode():
@@ -184,3 +225,15 @@ def test_sides_validated():
         is_epsilon_regular(g, [], [4, 5], "0.3")
     with pytest.raises(GraphError):
         is_epsilon_regular(g, [0], [4], "0")
+
+
+def test_fewer_than_one_sample_is_refused():
+    # zero draws would find no witness and call the pair regular
+    g = Graph.complete(6)
+    for samples in (0, -3):
+        for mode in ("sampled", "auto", "exact"):
+            with pytest.raises(GraphError, match="samples must be at least 1"):
+                is_epsilon_regular(g, [0, 1, 2], [3, 4, 5], "0.1", mode=mode, samples=samples)
+        with pytest.raises(GraphError, match="samples must be at least 1"):
+            is_super_regular(g, [0, 1, 2], [3, 4, 5], "0.1", "0.5", samples=samples)
+    assert is_epsilon_regular(g, [0, 1, 2], [3, 4, 5], "0.1", mode="sampled", samples=1)
