@@ -36,32 +36,29 @@ def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
-# The draws of random.Random's randrange/randint, sample and shuffle, taken
-# from its bound getrandbits without the stdlib's per-call argument checks
-# and method layers: same stream, same results, about half the cost in a
-# hot loop.  tests/test_core.py compares them with the running interpreter's
-# random module.
+# The draws of random.Random's sample and shuffle, taken from its bound
+# getrandbits without the stdlib's per-call argument checks and method
+# layers: same stream, same results, about half the cost in a hot loop.
+# tests/test_core.py compares them with the running interpreter's random
+# module.
 
 
-def draw_below(getrandbits, n: int) -> int:
-    """A uniform int in [0, n), n > 0: ``random.Random._randbelow``."""
-    t = n.bit_length()
-    r = getrandbits(t)
-    while r >= n:
-        r = getrandbits(t)
-    return r
-
-
-def draw_sample(getrandbits, population: list, k: int) -> list:
-    """``random.Random.sample(population, k)`` for 0 <= k <= len(population):
-    a pool of the unpicked when a k-set would take more room, otherwise
-    reselection into a set of picked positions."""
-    n = len(population)
+def sample_uses_pool(n: int, k: int) -> bool:
+    """Whether ``random.Random.sample`` draws k of n from a pool of the
+    unpicked (True) or by reselection into a set of picked positions: the
+    pool when an n-list takes less room than a k-set, by the stdlib's own
+    float size estimate."""
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return n <= setsize
+
+
+def draw_sample(getrandbits, population: list, k: int) -> list:
+    """``random.Random.sample(population, k)`` for 0 <= k <= len(population)."""
+    n = len(population)
     result = []
-    if n <= setsize:
+    if sample_uses_pool(n, k):
         pool = list(population)
         for m in range(n, n - k, -1):
             t = m.bit_length()
@@ -83,13 +80,18 @@ def draw_sample(getrandbits, population: list, k: int) -> list:
 
 
 def draw_shuffle(getrandbits, x: list) -> None:
-    """``random.Random.shuffle(x)``: reverse Fisher-Yates, in place."""
-    for i in range(len(x) - 1, 0, -1):
-        t = (i + 1).bit_length()
-        j = getrandbits(t)
-        while j > i:
+    """``random.Random.shuffle(x)``: reverse Fisher-Yates, in place.  The
+    positions i whose draw bound i + 1 has t bits run as one loop, so no
+    bit width is computed per element."""
+    hi = len(x) - 1
+    for t in range(len(x).bit_length(), 1, -1):
+        lo = (1 << (t - 1)) - 1
+        for i in range(hi, lo - 1, -1):
             j = getrandbits(t)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(t)
+            x[i], x[j] = x[j], x[i]
+        hi = lo - 1
 
 
 class GraphError(ValueError):

@@ -87,12 +87,28 @@ class ExtremalParams:
             raise GraphError("parameters must satisfy 0 < beta < alpha < 1")
 
 
-def _ge_root(value, coef: Fraction, base, power: int) -> bool:
-    """Exact test value >= coef**(1/power) * base for non-negative inputs."""
-    v = Fraction(value)
-    if v < 0:
-        return False
-    return v**power >= coef * Fraction(base) ** power
+# The degree tests of cleanup and the dense rebalance, exact in integers
+# with alpha = p/q: each compares powers of non-negative integers instead
+# of forming an alpha-th root.
+
+
+def _exceptional(deg: int, size: int, alpha: Fraction, dense: bool) -> bool:
+    """Is a cross degree deg into a side of ``size`` vertices exceptional?
+    Dense: deg < (1 - sqrt(alpha)) size.  Sparse: deg >= sqrt(alpha) size."""
+    if dense:
+        return (size - deg) ** 2 * alpha.denominator > alpha.numerator * size**2
+    return deg**2 * alpha.denominator >= alpha.numerator * size**2
+
+
+def _low_degree(deg: int, n: int, alpha: Fraction) -> bool:
+    """deg < (1 - alpha^(1/4)) n/2, that is n/2 - deg > alpha^(1/4) n/2."""
+    gap = n - 2 * deg
+    return gap > 0 and gap**4 * alpha.denominator > alpha.numerator * n**4
+
+
+def _heavy(deg: int, size: int, alpha: Fraction) -> bool:
+    """deg >= alpha^(1/4) size: a rebalance mover's internal degree."""
+    return deg**4 * alpha.denominator >= alpha.numerator * size**4
 
 
 @dataclass(frozen=True)
@@ -116,16 +132,12 @@ def _cleanup(g: Graph, a, b, params: ExtremalParams, dense: bool) -> ClusterPair
     alpha = params.alpha
     ca, cb = am.bit_count(), bm.bit_count()
 
-    def exceptional(v: int, other_mask: int, other_size: int) -> bool:
-        deg = (g.adj[v] & other_mask).bit_count()
-        if dense:
-            # low cross degree is exceptional in the dense regime
-            gap = other_size - deg
-            return gap > 0 and Fraction(gap) ** 2 > alpha * Fraction(other_size) ** 2
-        return _ge_root(deg, alpha, other_size, 2)
-
-    exc_a = [v for v in bits(am) if exceptional(v, bm, cb)]
-    exc_b = [v for v in bits(bm) if exceptional(v, am, ca)]
+    exc_a = [
+        v for v in bits(am) if _exceptional((g.adj[v] & bm).bit_count(), cb, alpha, dense)
+    ]
+    exc_b = [
+        v for v in bits(bm) if _exceptional((g.adj[v] & am).bit_count(), ca, alpha, dense)
+    ]
     a2 = am & ~mask_of(exc_a)
     b2 = bm & ~mask_of(exc_b)
     leftovers = bit_list(g.vertex_mask & ~(am | bm))
@@ -142,7 +154,6 @@ def _cleanup(g: Graph, a, b, params: ExtremalParams, dense: bool) -> ClusterPair
     fa = a2 | add_a
     fb = b2 | add_b
 
-    half = Fraction(g.n, 2)
     low = []
     for v in bits(fa | fb):
         in_a = bool(fa & (1 << v))
@@ -150,9 +161,7 @@ def _cleanup(g: Graph, a, b, params: ExtremalParams, dense: bool) -> ClusterPair
             ref_mask = fb if in_a else fa  # cross degree matters here
         else:
             ref_mask = fa if in_a else fb  # within-side degree
-        deg = (g.adj[v] & ref_mask).bit_count()
-        gap = half - deg
-        if gap > 0 and gap**4 > params.alpha * half**4:
+        if _low_degree((g.adj[v] & ref_mask).bit_count(), g.n, alpha):
             low.append(v)
     return ClusterPair(
         side_a=tuple(bit_list(fa)),
@@ -617,7 +626,7 @@ def solve_extremal_dense(
         best = None
         for v in bits(amask):
             dv = (g.adj[v] & amask).bit_count()
-            if _ge_root(dv, p.alpha, ca, 4):
+            if _heavy(dv, ca, p.alpha):
                 if best is None or dv > best[0]:
                     best = (dv, v)
         if best is None:

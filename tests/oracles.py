@@ -5,20 +5,25 @@ matching number by exhaustive branching over the lowest uncovered vertex,
 Hamiltonian cycles by recursive neighbor-set backtracking, S-cycle
 existence by scanning every enumerated cycle, k-orderedness by marking
 the order every enumerated cycle realises, regularity by full quantifier
-enumeration.  Two exceptions keep a replaced implementation as a
+enumeration.  Some exceptions keep a replaced implementation as a
 same-answer oracle: the list DP over all 2^n masks that the staged exact
-kernel replaced, for the very same cycles and paths, and the regularity
-checks with every subset size and Fraction densities, for the very same
-verdicts and witnesses.  The per-bit graph6 codec, symmetry check and
-induced-subgraph remap are kept the same way, for the very same strings,
-messages and graphs, against the whole-row versions that replaced them,
-and so is the rotation-extension step that lists its candidates, for the
-very same paths.
+kernel replaced, for the very same cycles and paths; the regularity
+checks with every subset size and Fraction densities, and the exact scan
+that ANDs one big-int X-mask with each B-row, for the very same verdicts
+and witnesses; the extremal layer's Fraction degree tests, for the very
+same cleanup and rebalance decisions; and the stand-alone size draw that
+the sampled check now makes inline, for the very same draws.  The
+per-bit graph6 codec, symmetry check and induced-subgraph remap are kept
+the same way, for the very same strings, messages and graphs, against
+the whole-row versions that replaced them, and so is the
+rotation-extension step that lists its candidates, for the very same
+paths.
 Slow on purpose; only run at desk scale.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -26,7 +31,7 @@ from itertools import combinations, permutations
 
 from kordered import Graph, bit_list, enumerate_hamiltonian_cycles
 from kordered.graph6 import _HEADER, Graph6Error, _decode_size, _encode_size
-from kordered.regularity import RegularityVerdict, _min_size, _pair_density
+from kordered.regularity import RegularityVerdict, _exact_witness, _min_size, _pair_density
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -375,6 +380,42 @@ def exact_regularity_all_sizes(
     return RegularityVerdict(True, "exact")
 
 
+def exact_regularity_per_x_mask(
+    g: Graph, a_list: list[int], b_list: list[int], eps: Fraction
+) -> RegularityVerdict:
+    """The one-size exact scan as it was before the byte-packed A-rows: per
+    X, the degree of each B-row into X by an AND with one big-int X-mask.
+    Same verdict and witness."""
+    na, nb = len(a_list), len(b_list)
+    d0 = _pair_density(g, a_list, b_list)
+    x_min = _min_size(eps, na)
+    y_min = _min_size(eps, nb)
+    if x_min > na or y_min > nb:
+        return RegularityVerdict(True, "exact")
+    cells = x_min * y_min
+    hi_at = math.ceil((d0 + eps) * cells)
+    lo_at = math.floor((d0 - eps) * cells)
+    b_rows = [g.adj[v] for v in b_list]
+    for x_bits in combinations([1 << v for v in a_list], x_min):
+        into_x = sorted(map(int.bit_count, map(sum(x_bits).__and__, b_rows)))
+        if sum(into_x[-y_min:]) >= hi_at:
+            return _exact_witness(g, x_bits, b_list, y_min, d0, high=True)
+        if sum(into_x[:y_min]) <= lo_at:
+            return _exact_witness(g, x_bits, b_list, y_min, d0, high=False)
+    return RegularityVerdict(True, "exact")
+
+
+def draw_below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n), n > 0: ``random.Random._randbelow``, the
+    draw behind ``randint`` that the sampled check takes inline for its
+    subset sizes."""
+    t = n.bit_length()
+    r = getrandbits(t)
+    while r >= n:
+        r = getrandbits(t)
+    return r
+
+
 def sampled_regularity_by_fractions(
     g: Graph,
     a_list: list[int],
@@ -401,6 +442,38 @@ def sampled_regularity_by_fractions(
         if dev >= eps:
             return RegularityVerdict(False, "sampled", (tuple(xs), tuple(ys), dev))
     return RegularityVerdict(True, "sampled")
+
+
+# -- the extremal layer's degree tests with Fraction roots -------------
+
+
+def ge_root(value, coef: Fraction, base, power: int) -> bool:
+    """Exact test value >= coef**(1/power) * base for non-negative inputs."""
+    v = Fraction(value)
+    if v < 0:
+        return False
+    return v**power >= coef * Fraction(base) ** power
+
+
+def exceptional_by_fractions(deg: int, size: int, alpha: Fraction, dense: bool) -> bool:
+    """Cleanup's exceptional-vertex test on a cross degree into a side of
+    ``size`` vertices, in Fractions."""
+    if dense:
+        gap = size - deg
+        return gap > 0 and Fraction(gap) ** 2 > alpha * Fraction(size) ** 2
+    return ge_root(deg, alpha, size, 2)
+
+
+def low_degree_by_fractions(deg: int, n: int, alpha: Fraction) -> bool:
+    """Cleanup's low-degree test against n/2, in Fractions."""
+    half = Fraction(n, 2)
+    gap = half - deg
+    return gap > 0 and gap**4 > alpha * half**4
+
+
+def heavy_by_fractions(deg: int, size: int, alpha: Fraction) -> bool:
+    """The dense rebalance's mover test, in Fractions."""
+    return ge_root(deg, alpha, size, 4)
 
 
 def petersen() -> Graph:

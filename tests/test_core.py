@@ -12,8 +12,9 @@ from kordered import (
     edges_between,
     induced_subgraph,
 )
-from kordered.core import draw_below, draw_sample, draw_shuffle
+from kordered.core import draw_sample, draw_shuffle
 from oracles import (
+    draw_below,
     graph_error_per_arc,
     induced_subgraph_per_bit,
     naive_edges_between,
@@ -216,9 +217,10 @@ def test_symmetry_invariant_after_construction():
 
 # -- the random module's draws, taken from getrandbits ---------------------
 #
-# draw_below, draw_sample and draw_shuffle copy random.Random's randrange,
-# sample and shuffle; these compare them with the running interpreter's own,
-# and the next random() shows that both streams stayed in step.
+# draw_sample and draw_shuffle copy random.Random's sample and shuffle, and
+# the oracle draw_below its randrange; these compare them with the running
+# interpreter's own, and the next random() shows that both streams stayed in
+# step.
 
 
 def _in_step(seed, stdlib_call, own_call):
@@ -241,7 +243,11 @@ def test_draw_sample_matches_random_sample(n, k):
     assert population == [3 * v + 1 for v in range(n)]
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 17, 1000])
+# lengths at and just past powers of two, where the first draw's bit width
+# steps up, and the dense generator's n=401 cross-pair list
+@pytest.mark.parametrize("n", [
+    0, 1, 2, 3, 4, 5, 8, 9, 17, 256, 257, 1000, 32768, 32769, 40200,
+])
 def test_draw_shuffle_matches_random_shuffle(n):
     for seed in range(25):
         def stdlib(r):

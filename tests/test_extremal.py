@@ -26,6 +26,8 @@ from kordered import (
     verify_s_cycle,
 )
 from kordered.cli import main
+from kordered.extremal import _exceptional, _heavy, _low_degree
+from oracles import exceptional_by_fractions, heavy_by_fractions, low_degree_by_fractions
 
 DESK = ExtremalParams(alpha=Fraction(3, 10))
 WIDE = ExtremalParams(beta=Fraction(5, 100), alpha=Fraction(3, 10))
@@ -134,6 +136,28 @@ def test_cleanup_dense_flags_low_cross_vertex():
     # vertex (internal degree 17 vs cross 14) lands in B with high cross
     assert a0 in cp.side_b
     assert sorted(cp.side_a + cp.side_b) == list(range(40))
+
+
+ALPHAS = [Fraction(1, 100), Fraction(1, 10), Fraction(3, 10), Fraction(299, 1000),
+          Fraction(1, 3), Fraction(99, 100)]
+
+
+def test_integer_degree_tests_agree_with_fraction_roots():
+    # every degree at the small sizes and around the benchmark's n=400/401
+    # (sides ~200, n/2, n) and the sizes just above; the full grid to 450
+    # and 820 takes ~20 s of Fraction arithmetic
+    sizes = [*range(1, 61), *range(195, 207), *range(396, 403), *range(445, 451)]
+    orders = [*range(1, 61), *range(395, 406), *range(795, 821)]
+    for alpha in ALPHAS:
+        for size in sizes:
+            for deg in range(size + 1):
+                for dense in (False, True):
+                    assert _exceptional(deg, size, alpha, dense) == \
+                        exceptional_by_fractions(deg, size, alpha, dense), (deg, size, alpha)
+                assert _heavy(deg, size, alpha) == heavy_by_fractions(deg, size, alpha)
+        for n in orders:
+            for deg in range(n + 1):
+                assert _low_degree(deg, n, alpha) == low_degree_by_fractions(deg, n, alpha)
 
 
 # -- connecting paths ---------------------------------------------------

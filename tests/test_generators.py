@@ -244,6 +244,25 @@ def test_generator_output_is_pinned():
     assert h.hexdigest() == PINNED_DIGEST
 
 
+def _benchmark_sized_records():
+    for seed in range(3):
+        yield _cluster_record(build_dense_bipartite_instance(401, 3, imbalance=1, seed=seed))
+        yield _cluster_record(build_sparse_cut_instance(400, 4, seed=seed))
+
+
+# the instances the extremal benchmark solves: at n=401 the shuffled cross
+# pairs pass 2^15 and the deletion walk runs long, which n <= 62 never reach;
+# recorded before the deletion walk stopped at its last possible deletion
+PINNED_BENCHMARK_SIZED_DIGEST = "689a5c49d8c08d83ebf19bf3e5077484a625ba8c05b582bed0ce1d7d005f159c"
+
+
+def test_benchmark_sized_generator_output_is_pinned():
+    h = hashlib.sha256()
+    for record in _benchmark_sized_records():
+        h.update(repr(record).encode() + b"\n")
+    assert h.hexdigest() == PINNED_BENCHMARK_SIZED_DIGEST
+
+
 def test_generator_graph6_literals():
     assert encode_graph6(build_sharpness_graph(8, 4).graph) == "G~~{[["
     assert encode_graph6(build_sparse_cut_instance(8, 2, seed=1).graph) == "G~EIX["

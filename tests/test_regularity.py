@@ -8,6 +8,7 @@ from kordered import Graph, GraphError, is_epsilon_regular, is_super_regular
 from kordered.regularity import as_fraction
 from oracles import (
     exact_regularity_all_sizes,
+    exact_regularity_per_x_mask,
     regular_pair_naive,
     sampled_regularity_by_fractions,
 )
@@ -91,6 +92,24 @@ def test_exact_same_verdicts_as_the_all_sizes_scan_at_side_12():
         got = is_epsilon_regular(g, a, b, eps, mode="exact")
         assert got == exact_regularity_all_sizes(g, a, b, as_fraction(eps))
         assert got.regular == (eps == "0.45")
+
+
+def test_exact_same_verdicts_and_witnesses_as_the_per_x_mask_scan():
+    rng = random.Random(67)
+    irregular = 0
+    for i in range(320):
+        na, nb = rng.randint(1, 14), rng.randint(1, 14)
+        g, a, b = interleaved_pair(rng, na, nb, rng.random())
+        if i % 4 == 0:
+            eps = Fraction(1, na + 1)  # x_min = 1
+        elif i % 4 == 1:
+            eps = Fraction(max(na - 1, 1), max(na, 2))  # x_min = |A|
+        else:
+            eps = Fraction(rng.randint(1, 19), 20)
+        got = is_epsilon_regular(g, a, b, eps, mode="exact")
+        assert got == exact_regularity_per_x_mask(g, a, b, eps), (g.adj, a, b, eps)
+        irregular += not got.regular
+    assert 60 <= irregular <= 260
 
 
 def test_sampled_same_verdicts_and_witnesses_as_fraction_densities():
