@@ -43,40 +43,47 @@ def bit_list(mask: int) -> list[int]:
 # module.
 
 
-def sample_uses_pool(n: int, k: int) -> bool:
-    """Whether ``random.Random.sample`` draws k of n from a pool of the
-    unpicked (True) or by reselection into a set of picked positions: the
-    pool when an n-list takes less room than a k-set, by the stdlib's own
-    float size estimate."""
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    return n <= setsize
+def sampler(getrandbits, population: list):
+    """A function k -> ``random.Random.sample(population, k)``, for
+    0 <= k <= len(population), drawing from getrandbits.  The per-size
+    choice between the stdlib's two branches and the pool branch's bit
+    widths are worked out once, here, for every call.
 
-
-def draw_sample(getrandbits, population: list, k: int) -> list:
-    """``random.Random.sample(population, k)`` for 0 <= k <= len(population)."""
+    Pool branch, taken when an n-list needs less room than a k-set by the
+    stdlib's own float size estimate: a pick from the m unpicked draws
+    below m and is swapped into slot m - 1, so the picks are the pool's
+    last k slots, in reverse draw order.  Set branch: redraw positions
+    until an unpicked one comes up."""
     n = len(population)
-    result = []
-    if sample_uses_pool(n, k):
-        pool = list(population)
-        for m in range(n, n - k, -1):
-            t = m.bit_length()
-            j = getrandbits(t)
-            while j >= m:
-                j = getrandbits(t)
-            result.append(pool[j])
-            pool[j] = pool[m - 1]
-        return result
-    selected: set[int] = set()
+    uses_pool = []
+    for k in range(n + 1):
+        setsize = 21
+        if k > 5:
+            setsize += 4 ** math.ceil(math.log(k * 3, 4))
+        uses_pool.append(n <= setsize)
+    steps = [(m - 1, m.bit_length()) for m in range(n, 0, -1)]
     t = n.bit_length()
-    for _ in range(k):
-        j = getrandbits(t)
-        while j >= n or j in selected:
+
+    def draw(k: int) -> list:
+        if uses_pool[k]:
+            pool = population.copy()
+            for last, width in steps[:k]:
+                j = getrandbits(width)
+                while j > last:
+                    j = getrandbits(width)
+                pool[j], pool[last] = pool[last], pool[j]
+            return pool[n - k:][::-1]
+        result = []
+        selected: set[int] = set()
+        for _ in range(k):
             j = getrandbits(t)
-        selected.add(j)
-        result.append(population[j])
-    return result
+            while j >= n or j in selected:
+                j = getrandbits(t)
+            selected.add(j)
+            result.append(population[j])
+        return result
+
+    return draw
 
 
 def draw_shuffle(getrandbits, x: list) -> None:

@@ -12,7 +12,7 @@ from kordered import (
     edges_between,
     induced_subgraph,
 )
-from kordered.core import draw_sample, draw_shuffle
+from kordered.core import draw_shuffle, sampler
 from oracles import (
     draw_below,
     graph_error_per_arc,
@@ -217,7 +217,7 @@ def test_symmetry_invariant_after_construction():
 
 # -- the random module's draws, taken from getrandbits ---------------------
 #
-# draw_sample and draw_shuffle copy random.Random's sample and shuffle, and
+# sampler and draw_shuffle copy random.Random's sample and shuffle, and
 # the oracle draw_below its randrange; these compare them with the running
 # interpreter's own, and the next random() shows that both streams stayed in
 # step.
@@ -239,8 +239,21 @@ def test_draw_sample_matches_random_sample(n, k):
     population = [3 * v + 1 for v in range(n)]
     for seed in range(25):
         _in_step(seed, lambda r: r.sample(population, k),
-                 lambda bits: draw_sample(bits, population, k))
+                 lambda bits: sampler(bits, population)(k))
     assert population == [3 * v + 1 for v in range(n)]
+
+
+def test_one_sampler_draws_the_same_samples_in_a_row():
+    # the sampled regularity check builds one sampler per side and calls it
+    # once per round; sizes 0..22 of 120 cross the pool/set boundary at 22
+    # both ways
+    for n in (1, 7, 40, 120):
+        population = [5 * v + 2 for v in range(n)]
+        sizes = [k % (n + 1) for k in (0, 3, 22, 21, 7, 22, 40, 1, 120, 9, 22, 6)]
+        for seed in range(10):
+            _in_step(seed, lambda r: [r.sample(population, k) for k in sizes],
+                     lambda bits: list(map(sampler(bits, population), sizes)))
+        assert population == [5 * v + 2 for v in range(n)]
 
 
 # lengths at and just past powers of two, where the first draw's bit width

@@ -143,19 +143,16 @@ ALPHAS = [Fraction(1, 100), Fraction(1, 10), Fraction(3, 10), Fraction(299, 1000
 
 
 def test_integer_degree_tests_agree_with_fraction_roots():
-    # every degree at the small sizes and around the benchmark's n=400/401
-    # (sides ~200, n/2, n) and the sizes just above; the full grid to 450
-    # and 820 takes ~20 s of Fraction arithmetic
-    sizes = [*range(1, 61), *range(195, 207), *range(396, 403), *range(445, 451)]
-    orders = [*range(1, 61), *range(395, 406), *range(795, 821)]
+    # every degree at every side size to 450 and every order to 820, past
+    # the benchmark's n=400/401 (sides ~200, n/2, n)
     for alpha in ALPHAS:
-        for size in sizes:
+        for size in range(1, 451):
             for deg in range(size + 1):
                 for dense in (False, True):
                     assert _exceptional(deg, size, alpha, dense) == \
                         exceptional_by_fractions(deg, size, alpha, dense), (deg, size, alpha)
                 assert _heavy(deg, size, alpha) == heavy_by_fractions(deg, size, alpha)
-        for n in orders:
+        for n in range(1, 821):
             for deg in range(n + 1):
                 assert _low_degree(deg, n, alpha) == low_degree_by_fractions(deg, n, alpha)
 
