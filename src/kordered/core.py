@@ -195,18 +195,8 @@ class Graph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @property
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
-
-    def neighbors(self, v: int) -> Iterator[int]:
-        return bits(self.adj[v])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):

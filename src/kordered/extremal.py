@@ -30,8 +30,8 @@ from .core import (
 from .hamilton import (
     HamCycle,
     _check_sequence,
+    _path_within,
     bipartite_posa_condition,
-    find_hamiltonian_path,
     posa_condition,
     verify_s_cycle,
 )
@@ -428,15 +428,6 @@ def _certified(g: Graph, s, cyc: list[int], trace: dict) -> ExtremalSolution:
     return ExtremalSolution(cycle, trace)
 
 
-def _path_through(g: Graph, mask: int, x: int, y: int, seed: int) -> list[int] | None:
-    """Hamiltonian x-y path of the subgraph induced by mask, in the labels
-    of g, or None when the search misses."""
-    sub, idx_map = induced_subgraph(g, mask)
-    back = {orig: j for j, orig in enumerate(idx_map)}
-    res = find_hamiltonian_path(sub, back[x], back[y], seed=seed)
-    return None if res.path is None else [idx_map[v] for v in res.path.order]
-
-
 def solve_extremal_sparse(
     g: Graph, a, b, seq, params: ExtremalParams | None = None, *, seed: int = 0
 ) -> ExtremalSolution:
@@ -561,7 +552,7 @@ def solve_extremal_sparse(
         for attempt, i in enumerate(anchors[:10]):
             x, y = cyc[i], cyc[(i + 1) % len(cyc)]
             t_mask = missing | (1 << x) | (1 << y)
-            patch = _path_through(g, t_mask, x, y, seed + attempt)
+            patch = _path_within(g, t_mask, x, y, seed=seed + attempt).path
             if patch is not None:
                 break
             retries += 1
@@ -569,7 +560,7 @@ def solve_extremal_sparse(
             posa = "holds" if posa_condition(induced_subgraph(g, t_mask)[0]) else "fails"
             raise StageError("absorption", "patch path not found for "
                              f"{missing.bit_count()} missing vertices (Posa condition {posa})")
-        interior = patch[1:-1]
+        interior = patch.order[1:-1]
         cyc[i + 1:i + 1] = interior
         used |= mask_of(interior)
         absorbed.append(side_mask.bit_count())
@@ -588,13 +579,13 @@ def solve_extremal_sparse(
             if not n2:
                 continue
             y2 = (n2 & -n2).bit_length() - 1
-            segment = _path_through(g, leftover, y1, y2, seed + i)
+            segment = _path_within(g, leftover, y1, y2, seed=seed + i).path
             if segment is not None:
                 break
             retries += 1
         else:
             raise StageError("untouched-side", "could not splice the untouched side")
-        cyc[i + 1:i + 1] = segment
+        cyc[i + 1:i + 1] = segment.order
 
     trace["retries"] = retries
     trace["absorbed_side_sizes"] = absorbed
@@ -712,13 +703,14 @@ def solve_extremal_dense(
         cyc = path
     else:
         for attempt in range(10):
-            closing = _path_through(g_cross, remainder, path[-1], path[0], seed + attempt)
+            closing = _path_within(g_cross, remainder, path[-1], path[0],
+                                   seed=seed + attempt).path
             if closing is not None:
                 break
         else:
             raise StageError("closing", "no bipartite Hamiltonian path over "
                              f"{remainder.bit_count()} remainder vertices")
-        cyc = path + closing[1:-1]
+        cyc = path + list(closing.order[1:-1])
 
     return _certified(g, s, cyc, trace)
 

@@ -14,14 +14,16 @@ This one kernel is the only exact engine.  ``is_k_ordered`` runs it on
 the canonical sequences that no earlier cycle has realised; each cycle
 found strikes the canonical forms of all its k-subsets, which
 ``realised_sequences`` reads off the cycle directly, with no per-subset
-canonicalisation.  ``find_hamiltonian_path`` runs the kernel anchored at
-one endpoint, with the other left out of the free set and appended after
-the walk back, so it places n-2 vertices like a k=2 cycle search.  The
-kernel's k stages of 2^m-bit ints, m the free vertices, cap the exact
-answers at ``EXACT_SOLVER_LIMIT`` vertices; the kernel refuses larger
-graphs before it allocates.  ``enumerate_hamiltonian_cycles`` lists
-every Hamiltonian cycle and serves as a reference; no decision procedure
-here depends on it.
+canonicalisation.  The path engine spans a vertex set, searching the
+subgraph a vertex mask induces in place: all of g for
+``find_hamiltonian_path``, a leftover set for the extremal patches.  Its
+exact stage anchors the kernel at one endpoint, skips the other and every
+vertex outside the span, and appends that endpoint after the walk back.
+The kernel's k stages of 2^m-bit ints, m the free vertices, cap the exact
+answers: it refuses to place more than ``EXACT_SOLVER_LIMIT`` vertices (n
+less the skipped ones) before it allocates.
+``enumerate_hamiltonian_cycles`` lists every Hamiltonian cycle and
+serves as a reference; no decision procedure here depends on it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator, Sequence
 
-from .core import Graph, GraphError, bit_list, bits
+from .core import Graph, GraphError, bit_list, bits, mask_of
 
 
 # the worst cases, a Hamiltonian cycle or path in K24 (22 free vertices),
@@ -58,10 +60,6 @@ class HamPath:
     """A path given as its vertex order; endpoints are order[0], order[-1]."""
 
     order: tuple[int, ...]
-
-    @property
-    def ends(self) -> tuple[int, int]:
-        return self.order[0], self.order[-1]
 
     def __len__(self) -> int:
         return len(self.order)
@@ -138,12 +136,13 @@ def _staged_reach(
 
     Memory: the stages hold about k*(m+1)*2^m bits, the free moves one
     2^m-bit mask per free vertex, and a round's new bits at most as much
-    again.  Refuses n above EXACT_SOLVER_LIMIT before anything is
-    allocated.
+    again.  Refuses more than EXACT_SOLVER_LIMIT vertices to place (n
+    less the skipped ones) before anything is allocated.
     """
-    if n > EXACT_SOLVER_LIMIT:
+    placed = n - skip.bit_count()
+    if placed > EXACT_SOLVER_LIMIT:
         raise GraphError(
-            f"n={n} exceeds EXACT_SOLVER_LIMIT={EXACT_SOLVER_LIMIT} of the exact subset DP"
+            f"n={placed} exceeds EXACT_SOLVER_LIMIT={EXACT_SOLVER_LIMIT} of the exact subset DP"
         )
     amask = skip
     for v in seq:
@@ -498,36 +497,46 @@ def find_hamiltonian_path(
     n = g.n
     if not (0 <= x < n and 0 <= y < n):
         raise GraphError("endpoint out of range")
-    if n == 2:
+    return _path_within(g, g.vertex_mask, x, y, restarts, seed)
+
+
+def _path_within(
+    g: Graph, span: int, x: int, y: int, restarts: int = 50, seed: int = 0
+) -> PathSearchResult:
+    """``find_hamiltonian_path`` in the subgraph that the vertex mask
+    ``span`` (holding x != y) induces, searched in place.  The answer is
+    the subgraph's: numbering its members in ascending order keeps the r-th
+    lowest candidate, the kernel's slots and its walk back."""
+    m = span.bit_count()
+    if m == 2:
         if g.has_edge(x, y):
             return PathSearchResult(HamPath((x, y)), "exact", True)
         return PathSearchResult(None, "none", True)
 
-    full = g.vertex_mask
-    allowed = full & ~(1 << y)
+    allowed = span & ~(1 << y)
     targets = g.adj[y] & allowed
     if targets:
-        step_cap = 40 * n
+        step_cap = 40 * m
         for r in range(restarts):
             rng = random.Random(seed * 1_000_003 + r)
             got = _rotation_attempt(g, allowed, x, targets, rng, step_cap)
             if got is not None:
                 path = HamPath(tuple(got) + (y,))
-                assert _is_valid_path(g, path, x, y)
+                assert _is_valid_path(g, path, span, x, y)
                 return PathSearchResult(path, "rotation", True)
-    if n <= EXACT_SOLVER_LIMIT:
-        # y is the fixed last vertex: the DP leaves it out, ends on a
-        # neighbour of it, and y is appended
-        order = _anchored_path(g.adj, n, (x,), g.adj[y], skip=1 << y)
+    if m <= EXACT_SOLVER_LIMIT:
+        # y is the fixed last vertex: the DP skips it and every vertex
+        # outside the span, ends on a neighbour of y, and y is appended
+        order = _anchored_path(g.adj, g.n, (x,), targets, skip=g.vertex_mask & ~allowed)
         if order is not None:
             return PathSearchResult(HamPath(tuple(order) + (y,)), "exact", True)
         return PathSearchResult(None, "none", True)
     return PathSearchResult(None, "none", False)
 
 
-def _is_valid_path(g: Graph, path: HamPath, x: int, y: int) -> bool:
+def _is_valid_path(g: Graph, path: HamPath, span: int, x: int, y: int) -> bool:
     order = path.order
-    if len(set(order)) != len(order) or len(order) != g.n:
+    if len(order) != span.bit_count() or mask_of(order) != span:
         return False
     if order[0] != x or order[-1] != y:
         return False

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .core import Graph, GraphError, bit_list, mask_of, sampler
+from .core import Graph, GraphError, bit_list, density, mask_of, sampler
 
 
 def as_fraction(x) -> Fraction:
@@ -95,12 +95,6 @@ def _sides(g: Graph, a, b) -> tuple[list[int], list[int]]:
     return bit_list(am), bit_list(bm)
 
 
-def _pair_density(g: Graph, xs: list[int], ys: list[int]) -> Fraction:
-    ym = mask_of(ys)
-    e = sum((g.adj[x] & ym).bit_count() for x in xs)
-    return Fraction(e, len(xs) * len(ys))
-
-
 def _min_size(eps: Fraction, m: int) -> int:
     """Smallest integer strictly greater than eps*m."""
     return math.floor(eps * m) + 1
@@ -110,7 +104,7 @@ def _exact_check(
     g: Graph, a_list: list[int], b_list: list[int], eps: Fraction
 ) -> RegularityVerdict:
     na, nb = len(a_list), len(b_list)
-    d0 = _pair_density(g, a_list, b_list)
+    d0 = density(g, a_list, b_list)
     x_min = _min_size(eps, na)
     y_min = _min_size(eps, nb)
     if x_min > na or y_min > nb:
@@ -159,7 +153,7 @@ def _sampled_check(
     seed: int,
 ) -> RegularityVerdict:
     na, nb = len(a_list), len(b_list)
-    d0 = _pair_density(g, a_list, b_list)
+    d0 = density(g, a_list, b_list)
     x_min = _min_size(eps, na)
     y_min = _min_size(eps, nb)
     if x_min > na or y_min > nb:

@@ -17,7 +17,8 @@ per-bit graph6 codec, symmetry check and induced-subgraph remap are kept
 the same way, for the very same strings, messages and graphs, against
 the whole-row versions that replaced them, and so is the
 rotation-extension step that lists its candidates, for the very same
-paths.
+paths, and the extremal solvers' copy-and-relabel path search through an
+induced subgraph, for the very same paths as the search in place.
 Slow on purpose; only run at desk scale.
 """
 
@@ -29,9 +30,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from kordered import Graph, bit_list, enumerate_hamiltonian_cycles
+from kordered import (
+    Graph,
+    bit_list,
+    density,
+    enumerate_hamiltonian_cycles,
+    find_hamiltonian_path,
+    induced_subgraph,
+)
 from kordered.graph6 import _HEADER, Graph6Error, _decode_size, _encode_size
-from kordered.regularity import RegularityVerdict, _exact_witness, _min_size, _pair_density
+from kordered.hamilton import HamPath, PathSearchResult
+from kordered.regularity import RegularityVerdict, _exact_witness, _min_size
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -281,6 +290,20 @@ def rotation_path_by_listing(g: Graph, x: int, y: int, restarts: int, seed: int)
     return None
 
 
+def path_through_subgraph(
+    g: Graph, span: int, x: int, y: int, restarts: int = 50, seed: int = 0
+) -> PathSearchResult:
+    """The x-y path search through the vertex set span as the extremal
+    solvers made it before the path engine spanned a vertex set: copy the
+    induced subgraph, search it with ``find_hamiltonian_path``, and map the
+    path back to the labels of g."""
+    sub, idx_map = induced_subgraph(g, span)
+    back = {orig: j for j, orig in enumerate(idx_map)}
+    res = find_hamiltonian_path(sub, back[x], back[y], restarts=restarts, seed=seed)
+    path = None if res.path is None else HamPath(tuple(idx_map[v] for v in res.path.order))
+    return PathSearchResult(path, res.method, res.authoritative)
+
+
 def ham_path_exists_naive(g: Graph, x: int, y: int) -> bool:
     n = g.n
 
@@ -344,7 +367,7 @@ def exact_regularity_all_sizes(
     """The exact check the one-size scan replaced: every |X| >= x_min,
     every |Y| >= y_min, densities as Fractions.  Same verdict and witness."""
     na, nb = len(a_list), len(b_list)
-    d0 = _pair_density(g, a_list, b_list)
+    d0 = density(g, a_list, b_list)
     x_min = _min_size(eps, na)
     y_min = _min_size(eps, nb)
     if x_min > na or y_min > nb:
@@ -387,7 +410,7 @@ def exact_regularity_per_x_mask(
     X, the degree of each B-row into X by an AND with one big-int X-mask.
     Same verdict and witness."""
     na, nb = len(a_list), len(b_list)
-    d0 = _pair_density(g, a_list, b_list)
+    d0 = density(g, a_list, b_list)
     x_min = _min_size(eps, na)
     y_min = _min_size(eps, nb)
     if x_min > na or y_min > nb:
@@ -427,7 +450,7 @@ def sampled_regularity_by_fractions(
     """The sampled check with Fraction densities, which the integer
     comparison replaced: same draws, same verdict and witness per seed."""
     na, nb = len(a_list), len(b_list)
-    d0 = _pair_density(g, a_list, b_list)
+    d0 = density(g, a_list, b_list)
     x_min = _min_size(eps, na)
     y_min = _min_size(eps, nb)
     if x_min > na or y_min > nb:
@@ -438,7 +461,7 @@ def sampled_regularity_by_fractions(
         sy = rng.randint(y_min, nb)
         xs = sorted(rng.sample(a_list, sx))
         ys = sorted(rng.sample(b_list, sy))
-        dev = abs(_pair_density(g, xs, ys) - d0)
+        dev = abs(density(g, xs, ys) - d0)
         if dev >= eps:
             return RegularityVerdict(False, "sampled", (tuple(xs), tuple(ys), dev))
     return RegularityVerdict(True, "sampled")

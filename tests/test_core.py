@@ -6,6 +6,7 @@ import pytest
 from kordered import (
     Graph,
     GraphError,
+    bits,
     build_sharpness_graph,
     degree_profile,
     density,
@@ -202,7 +203,7 @@ def test_without_edges():
     g = Graph.complete(4).without_edges([(0, 1), (2, 3)])
     assert not g.has_edge(0, 1) and not g.has_edge(2, 3)
     assert g.has_edge(0, 2)
-    assert g.edge_count == 4
+    assert sum(row.bit_count() for row in g.adj) // 2 == 4
 
 
 def test_symmetry_invariant_after_construction():
@@ -211,7 +212,7 @@ def test_symmetry_invariant_after_construction():
         g = random_graph(rng, rng.randint(1, 15), rng.uniform(0, 1))
         for u in range(g.n):
             assert not g.adj[u] & (1 << u)
-            for v in g.neighbors(u):
+            for v in bits(g.adj[u]):
                 assert g.has_edge(v, u)
 
 

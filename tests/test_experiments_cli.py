@@ -230,6 +230,19 @@ def test_cli_parse_errors_exit_2_with_one_line(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sharpness", "--n", "8,8", "--k", "2"],
+    ["sharpness", "--n", "8", "--k", "2,3,2"],
+    ["scan", "--n", "8", "--k", "4", "--trials", "1", "--offsets", "0,0"],
+], ids=["sharpness-n", "sharpness-k", "scan-offsets"])
+def test_cli_repeated_list_value_is_refused_before_any_work(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "repeats the value" in captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
+
 def test_cli_list_flags_are_parsed_before_the_graph_is_read(tmp_path, capsys):
     missing = str(tmp_path / "missing.g6")
     for argv in (

@@ -27,6 +27,7 @@ from kordered import (
 )
 from kordered.cli import main
 from kordered.extremal import _exceptional, _heavy, _low_degree
+from kordered.hamilton import PathSearchResult
 from oracles import exceptional_by_fractions, heavy_by_fractions, low_degree_by_fractions
 
 DESK = ExtremalParams(alpha=Fraction(3, 10))
@@ -374,11 +375,11 @@ def _no_hamiltonian_paths(monkeypatch):
     the vertex sets searched."""
     sizes = []
 
-    def miss(g, mask, x, y, seed):
-        sizes.append(mask.bit_count())
-        return None
+    def miss(g, span, x, y, restarts=50, seed=0):
+        sizes.append(span.bit_count())
+        return PathSearchResult(None, "none", False)
 
-    monkeypatch.setattr("kordered.extremal._path_through", miss)
+    monkeypatch.setattr("kordered.extremal._path_within", miss)
     return sizes
 
 

@@ -19,8 +19,8 @@ from kordered import (
     posa_condition,
     verify_s_cycle,
 )
-from kordered.core import bit_list
-from kordered.hamilton import _nth_bit, realised_sequences
+from kordered.core import bit_list, mask_of
+from kordered.hamilton import _nth_bit, _path_within, realised_sequences
 from oracles import (
     canonical_sequence,
     first_failing_sequence_naive,
@@ -28,6 +28,7 @@ from oracles import (
     ham_path_exists_naive,
     is_k_ordered_by_enumeration,
     naive_hamiltonian_cycles,
+    path_through_subgraph,
     random_graph,
     rotation_path_by_listing,
     s_cycle_by_list_dp,
@@ -360,7 +361,7 @@ def test_complete_graph_every_pair():
             if x != y:
                 res = find_hamiltonian_path(g, x, y)
                 assert res.path is not None
-                assert res.path.ends == (x, y)
+                assert (res.path.order[0], res.path.order[-1]) == (x, y)
 
 
 def test_path_graph_endpoints():
@@ -422,6 +423,46 @@ def test_rotation_stage_draws_the_same_paths_as_listing():
         assert (res.path.order if res.method == "rotation" else None) == want, (n, x, y)
         found += want is not None
     assert 20 < found < 60
+
+
+def _random_span(rng, n: int, size: int) -> tuple[int, int, int]:
+    members = rng.sample(range(n), size)
+    return mask_of(members), members[0], members[1]
+
+
+def test_path_within_a_span_is_the_induced_subgraph_search():
+    # a span of at most EXACT_SOLVER_LIMIT vertices gets the exact stage
+    # inside a graph above the cap; a larger one gets only rotation
+    rng = random.Random(37)
+    methods = set()
+    for _ in range(50):
+        n = rng.randint(26, 60)
+        g = random_graph(rng, n, rng.uniform(0.15, 0.6))
+        seed = rng.randrange(100)
+        if rng.random() < 0.6:
+            span, x, y = _random_span(rng, n, rng.randint(3, 24))
+            restarts = 0
+        else:
+            span, x, y = _random_span(rng, n, rng.randint(25, n))
+            restarts = 50
+        got = _path_within(g, span, x, y, restarts, seed)
+        assert got == path_through_subgraph(g, span, x, y, restarts, seed), (n, span, x, y)
+        methods.add((got.method, got.authoritative))
+    assert methods == {("exact", True), ("none", True), ("rotation", True), ("none", False)}
+
+
+def test_path_within_runs_the_kernel_up_to_the_cap(monkeypatch):
+    # spans 0..23 and 0..24 of C400 induce paths: only the kernel can
+    # answer with restarts=0, and it runs on 24 members but not on 25
+    g = Graph.cycle(400)
+    full = _path_within(g, (1 << 24) - 1, 0, 23, restarts=0)
+    assert full == path_through_subgraph(g, (1 << 24) - 1, 0, 23, restarts=0)
+    assert full.path.order == tuple(range(24)) and full.method == "exact"
+    none = _path_within(g, (1 << 24) - 1, 0, 5, restarts=0)
+    assert none.path is None and none.authoritative
+    monkeypatch.setattr("kordered.hamilton._anchored_path", None)  # a kernel call would raise
+    past = _path_within(g, (1 << 25) - 1, 0, 24, restarts=0)
+    assert past.path is None and not past.authoritative
 
 
 def test_nth_bit_is_the_listed_bit():
